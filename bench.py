@@ -299,18 +299,13 @@ def _mp_chain_worker(n_iters: int) -> float:
     import pyarrow.parquet as pq
     from skewer_ray.config import default_config
     from skewer_ray.gen import ensure_transcripts
-    from skewer_ray.pipelines.flagship import _enrich_spec, _parse_spec
-    from skewer_ray.stages import FanoutEncodeStage, RouterStage
+    from skewer_ray.pipelines.flagship import _specs
     from skewer_ray.stages.fused import fused_task_fn
 
     path = ensure_transcripts("/root/testdata/sf0.01")
     t = pa.concat_tables([pq.read_table(f)
                           for f in glob.glob(path + "/*.parquet")])
-    cfg = default_config()
-    specs = [_parse_spec(cfg), _enrich_spec(cfg),
-             (RouterStage, {"hooks": cfg.hooks}),
-             (FanoutEncodeStage, {"sinks": cfg.sinks})]
-    fn = fused_task_fn(specs)
+    fn = fused_task_fn(_specs(default_config()))
     fn(t.slice(0, 2000))  # warm caches
     t0 = time.perf_counter()
     rows = 0

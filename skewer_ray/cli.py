@@ -66,8 +66,7 @@ def http_kv_watcher(url: str, timeout: float = 10.0):
 
 
 def watch_run(input_dir: str, out_dir: str, config_path: str = None,
-              use_actors: bool = False, interval: float = 5.0,
-              max_passes: int = 0, watcher=None):
+              interval: float = 5.0, max_passes: int = 0, watcher=None):
     """Hot config reload, batch form (cmd/serve.go:700-733,788-827 +
     consul/dynamicconf.go): loop resumable partitioned passes over the
     input; between passes poll the WATCHER — a fingerprint change
@@ -79,9 +78,10 @@ def watch_run(input_dir: str, out_dir: str, config_path: str = None,
     ``watcher`` is any callable returning (fingerprint, toml_source)
     — ``file_watcher`` (the SIGHUP-style default over ``config_path``)
     or ``http_kv_watcher`` (the Consul key-watch form); toml_source is
-    a path or TOML text (config_from_toml accepts both). Returns the
-    final per-(sink,status) counts. Stops on SIGINT or after
-    ``max_passes``."""
+    a path or TOML text (config_from_toml accepts both). A fetched
+    config that fails to load keeps the last-good plan (and its
+    fingerprint, so a later fix still reloads). Returns the final
+    per-(sink,status) counts. Stops on SIGINT or after ``max_passes``."""
     import time
 
     from .state import run_partitioned
@@ -106,13 +106,19 @@ def watch_run(input_dir: str, out_dir: str, config_path: str = None,
             print(f"config watch failed ({exc}); keeping current plan")
             new_fp, source = fp, None
         if new_fp != fp:
-            if fp is not None:
-                print(f"config changed ({fp[:8]} -> {new_fp[:8]}): "
-                      "rebuilding pipeline plan")
-            fp = new_fp
-            config = config_from_toml(source)
-        metrics = run_partitioned(input_dir, out_dir, config=config,
-                                  use_actors=use_actors)
+            try:
+                new_config = config_from_toml(source)
+            except Exception as exc:
+                if config is None:
+                    raise
+                print(f"config {new_fp[:8]} rejected ({exc}); "
+                      "keeping current plan")
+            else:
+                if fp is not None:
+                    print(f"config changed ({fp[:8]} -> {new_fp[:8]}): "
+                          "rebuilding pipeline plan")
+                fp, config = new_fp, new_config
+        metrics = run_partitioned(input_dir, out_dir, config=config)
         n_pass += 1
         if max_passes and n_pass >= max_passes:
             break
@@ -147,8 +153,6 @@ def main(argv=None):
     run.add_argument("--ordered", action="store_true",
                      help="sort output by (conv_id, turn_idx) before the "
                           "partitioned write (RELP ordered-ack analogue)")
-    run.add_argument("--use-actors", action="store_true",
-                     help="actor-pool form of the per-record path")
     run.add_argument("--test", action="store_true",
                      help="print the first parsed/routed records instead "
                           "of delivering (skewer serve --test, "
@@ -205,6 +209,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.cmd == "run" and not args.test and not args.out:
         ap.error("run requires --out (unless --test)")
+    if args.cmd == "run" and args.ordered and (
+            args.resume or args.watch or args.watch_url):
+        ap.error("--ordered applies to a plain run only, not to "
+                 "--resume or --watch")
 
     if args.cmd == "counts":
         path = os.path.join(args.out, "metrics", "sink_counts.json")
@@ -248,8 +256,7 @@ def main(argv=None):
             if args.test:
                 from .pipelines.flagship import build_routed, read_transcripts
                 ds = build_routed(read_transcripts(args.input),
-                                  config=config,
-                                  use_actors=args.use_actors)
+                                  config=config)
                 rows = ds.limit(args.test_rows).to_pandas()
                 cols = ["conv_id", "turn_idx", "priority", "hostname",
                         "appname", "topic", "filter_status", "message"]
@@ -262,7 +269,6 @@ def main(argv=None):
                 watcher = http_kv_watcher(args.watch_url) \
                     if args.watch_url else None
                 agg = watch_run(args.input, args.out, args.config,
-                                use_actors=args.use_actors,
                                 interval=args.watch_interval,
                                 max_passes=args.watch_passes,
                                 watcher=watcher)
@@ -271,15 +277,13 @@ def main(argv=None):
             if args.resume:
                 from .state import run_partitioned
                 metrics = run_partitioned(args.input, args.out,
-                                          config=config,
-                                          use_actors=args.use_actors)
+                                          config=config)
                 agg = (metrics.groupby(["sink", "status"])["n"].sum()
                        .reset_index())
             else:
                 from .pipelines.flagship import run_flagship
                 agg = run_flagship(args.input, args.out, config=config,
-                                   ordered=args.ordered,
-                                   use_actors=args.use_actors)
+                                   ordered=args.ordered)
             print(agg.to_string(index=False))
         elif args.cmd == "retry":
             from .state import retry_rejected

@@ -18,11 +18,6 @@ from .decoders import DecoderConfig
 from .gen import FAMILY_NAMES
 
 
-class _SafeDict(dict):
-    def __missing__(self, key):
-        return ""
-
-
 class _SafeView:
     """Zero-copy mapping view for str.format_map: missing keys render
     empty, present keys are fetched lazily from the underlying record

@@ -89,13 +89,6 @@ def is_hostname(s: str) -> bool:
     return bool(_HOSTNAME_OK.match(s))
 
 
-def _old_stamp_ns(parts3: list[str], year: int):
-    m = _STAMP_RE.match(" ".join(parts3))
-    if not m:
-        return None
-    return _stamp_groups_ns(m, year)
-
-
 def _stamp_groups_ns(m, year: int):
     mon = _MONTHS.get(m.group(1))
     if mon is None:

@@ -25,10 +25,6 @@ _MONTH = ["", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 
 
-def _dt_from_ns(ns: int) -> datetime:
-    return _EPOCH0 + timedelta(microseconds=ns // 1000)
-
-
 # Timestamp formatting is per-row in every encoder but the distinct-second
 # cardinality of real log streams is tiny relative to row count — memoize.
 @lru_cache(maxsize=1 << 17)

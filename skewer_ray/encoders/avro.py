@@ -196,8 +196,3 @@ def encode_fulljsonavro(rec: dict) -> str | None:
         "Uid": rec.get("uid") or "",
         "Fields": native_avro(rec),
     }, separators=(",", ":"), ensure_ascii=False)
-
-
-def decode_jsonavro(text: str) -> dict:
-    """Matching textual reader (tests / avro-less consumers)."""
-    return _json.loads(text)

@@ -3,18 +3,17 @@
 
 Ray lifecycle equivalent of `skewer serve` (SURVEY.md §3.4): transcripts
 Parquet stands in for the socket sources, the parse stage for the NumCPU
-parser goroutines, the router actor pool for the per-dest Forwarder, the
+parser goroutines, the router stage for the per-dest Forwarder, the
 partitioned Parquet write for Kafka/file/stderr destinations, and the
-final groupby for the Prometheus counters gather
+footer-count metrics artifact for the Prometheus counters gather
 (metrics/metrics.go:38-75).
 
 Scale notes:
 - reads prune to the six transcript columns;
 - the whole per-record path (parse+enrich+route[+fanout]) is ONE fused
-  actor-pool map_batches: one pass, no inter-stage object-store hops,
-  and only one pool reserving CPUs (see stages/fused.py);
-- the only shuffle is the final small groupby over (sink, status, route)
-  count partials;
+  task-pool map_batches with per-worker-cached stage state: one pass,
+  no inter-stage object-store hops (see stages/fused.py);
+- metrics come from the written files' parquet footers, not a groupby;
 - sink writes are hive-partitioned by (sink, status, route) so reruns
   can skip finished partitions (state/manifest.py).
 """
@@ -26,20 +25,10 @@ import ray.data as rd
 from ..config import PipelineConfig, default_config
 from ..gen import ensure_transcripts
 from ..stages import EnrichStage, FanoutEncodeStage, ParseStage, RouterStage
-from ..stages.fused import FusedStage
+from ..stages.fused import fused_task_fn
 
 PARSE_BATCH = 8192  # mirrors store batch 5000..8k (conf/defaults.go:320)
-
-
-def _auto_concurrency():
-    """Autoscaling (1, ncpus-1) pool: leaves headroom for read/write tasks
-    so a minimum-size pool can never starve the pipeline."""
-    import ray
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        ncpu = 4
-    return (1, max(2, ncpu - 1))
+TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 
 
 _FOOTER_MEMO: dict[str, tuple[int, int]] = {}  # path -> (n_files, rows)
@@ -92,61 +81,42 @@ def read_transcripts(path_or_sfdir: str):
     nb = _suggest_blocks(path)
     return rd.read_parquet(
         path,
-        columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"],
+        columns=TRANSCRIPT_COLUMNS,
         **({"override_num_blocks": nb} if nb else {}),
     )
 
 
-def _fused(ds, specs, concurrency, use_actors=False):
-    """Per-record path as ONE map_batches. Default is the task pool with
-    per-worker-cached stage state (see stages/fused.fused_task_fn — ~2×
-    faster than the actor pool for cheap state); pass use_actors=True (or
-    an explicit concurrency) for an actor pool when stage state is
-    expensive to build."""
-    if use_actors or concurrency is not None:
-        return ds.map_batches(
-            FusedStage,
-            fn_constructor_kwargs={"specs": specs},
-            batch_format="pyarrow",
-            batch_size=PARSE_BATCH,
-            concurrency=concurrency or _auto_concurrency(),
-        )
-    from ..stages.fused import fused_task_fn
+def _specs(config: PipelineConfig, hooks=None):
+    """The per-record chain as (stage class, kwargs) pairs: parse →
+    enrich → route → fan-out. Builders take a prefix; ``hooks`` replaces
+    ``config.hooks`` (a retry under a fixed filter)."""
+    return [
+        (ParseStage, {"decoder_for_family": config.decoder_for_family,
+                      "custom_parsers": config.custom_parsers}),
+        (EnrichStage, {"role_lookup": config.role_lookup,
+                       "tool_lookup": config.tool_lookup}),
+        (RouterStage, {"hooks": hooks or config.hooks}),
+        (FanoutEncodeStage, {"sinks": config.sinks}),
+    ]
+
+
+def _fused(ds, specs):
+    """Per-record path as ONE task-pool map_batches; the stage chain is
+    built once per worker (stages/fused.fused_task_fn)."""
     return ds.map_batches(fused_task_fn(specs), batch_format="pyarrow",
                           batch_size=PARSE_BATCH)
 
 
-def _parse_spec(config: PipelineConfig):
-    return (ParseStage, {"decoder_for_family": config.decoder_for_family,
-                         "custom_parsers": config.custom_parsers})
+def build_parsed(ds, config: PipelineConfig | None = None):
+    return _fused(ds, _specs(config or default_config())[:1])
 
 
-def _enrich_spec(config: PipelineConfig):
-    return (EnrichStage, {"role_lookup": config.role_lookup,
-                          "tool_lookup": config.tool_lookup})
+def build_routed(ds, config: PipelineConfig | None = None):
+    return _fused(ds, _specs(config or default_config())[:3])
 
 
-def build_parsed(ds, config: PipelineConfig | None = None, concurrency=None,
-                 use_actors=False):
-    config = config or default_config()
-    return _fused(ds, [_parse_spec(config)], concurrency, use_actors)
-
-
-def build_routed(ds, config: PipelineConfig | None = None, concurrency=None,
-                 use_actors=False):
-    config = config or default_config()
-    specs = [_parse_spec(config), _enrich_spec(config),
-             (RouterStage, {"hooks": config.hooks})]
-    return _fused(ds, specs, concurrency, use_actors)
-
-
-def build_fanout(ds, config: PipelineConfig | None = None, concurrency=None,
-                 use_actors=False):
-    config = config or default_config()
-    specs = [_parse_spec(config), _enrich_spec(config),
-             (RouterStage, {"hooks": config.hooks}),
-             (FanoutEncodeStage, {"sinks": config.sinks})]
-    return _fused(ds, specs, concurrency, use_actors)
+def build_fanout(ds, config: PipelineConfig | None = None):
+    return _fused(ds, _specs(config or default_config()))
 
 
 def sink_counts(fanout_ds):
@@ -161,7 +131,7 @@ def sink_counts(fanout_ds):
 
 def run_flagship(input_path: str, out_dir: str,
                  config: PipelineConfig | None = None,
-                 ordered: bool = False, use_actors: bool = False):
+                 ordered: bool = False):
     """Execute the full job: fan-out write + metrics artifact.
 
     ``ordered=True`` sorts the stream by (conv_id, turn_idx) before the
@@ -174,34 +144,21 @@ def run_flagship(input_path: str, out_dir: str,
     For resumable, per-partition execution with lineage records use
     skewer_ray.state.run_partitioned instead.
     """
-    import json
     import os
 
-    config = config or default_config()
-    ds = read_transcripts(input_path)
-    fan = build_fanout(ds, config, use_actors=use_actors)
+    from ..metrics_export import write_sink_counts
+    from ..state.manifest import hive_counts
+
+    fan = build_fanout(read_transcripts(input_path), config)
     if ordered:
         fan = fan.sort(["conv_id", "turn_idx"])
+    data_dir = os.path.join(out_dir, "data")
     # min_rows_per_file guards against tiny-file explosion across the
     # (sink, status, route) partition space (SURVEY.md §7 hard #4)
-    fan.write_parquet(os.path.join(out_dir, "data"),
-                      partition_cols=["sink", "status", "route"],
+    fan.write_parquet(data_dir, partition_cols=["sink", "status", "route"],
                       min_rows_per_file=10_000)
     # metrics from the WRITTEN bytes (the ack is the row's presence) via
     # parquet footer metadata only — one scan of the input per run, no
     # re-read of the output data pages (VERDICT r01 #6)
-    import pandas as pd
-    from ..state.manifest import hive_counts
-    rows = [{"sink": s, "status": st, "route": r, "n": n}
-            for (s, st, r), n in hive_counts(
-                os.path.join(out_dir, "data"),
-                ("sink", "status", "route")).items()]
-    counts = (pd.DataFrame(rows, columns=["sink", "status", "route", "n"])
-              .sort_values(["sink", "status", "route"])
-              .reset_index(drop=True))
-    os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
-    counts.to_json(os.path.join(out_dir, "metrics", "sink_counts.json"),
-                   orient="records")
-    with open(os.path.join(out_dir, "metrics", "summary.json"), "w") as fh:
-        json.dump({"total_rows": int(counts["n"].sum())}, fh)
-    return counts
+    return write_sink_counts(
+        out_dir, hive_counts(data_dir, ("sink", "status", "route")))

@@ -9,8 +9,8 @@ is at-least-once and restart-safe.
 Batch equivalent: the unit of work is an input shard (one source parquet
 file = one partition). Each completed partition writes an atomic
 manifest ``_lineage/part-<id>.json`` (write-tmp + rename) recording
-input rows, per-(sink,status) counts and parse/route error totals — the
-ACK/NACK/PermError accounting. A rerun:
+input rows and per-(sink,status,route) counts — the ACK/NACK/PermError
+accounting. A rerun:
 
 - skips partitions whose manifest says done (idempotent restart);
 - deletes orphan output dirs for partitions WITHOUT a manifest (the
@@ -43,7 +43,7 @@ class PartitionManifest:
     part_id: int
     input_file: str
     n_in: int
-    counts: dict = field(default_factory=dict)  # "sink/status" -> rows
+    counts: dict = field(default_factory=dict)  # "sink/status/route" -> rows
     status: str = "done"
 
     @property
@@ -87,9 +87,10 @@ def _list_input_files(input_path: str) -> list[str]:
     path = ensure_transcripts(input_path) if base.startswith("sf") else input_path
     # manifests match inputs by PATH IDENTITY across runs, so the
     # listing must be spelling-independent: a resume invoked with a
-    # relative path (or from another cwd) would otherwise miss every
-    # done file and re-ingest the whole input as "new" partitions
-    path = os.path.abspath(path)
+    # relative path, from another cwd or through a symlink would
+    # otherwise miss every done file and re-ingest the whole input as
+    # "new" partitions
+    path = os.path.realpath(path)
     if os.path.isfile(path):
         return [path]
     return sorted(os.path.join(path, f) for f in os.listdir(path)
@@ -128,16 +129,26 @@ def hive_counts(data_dir: str, keys: tuple[str, ...]) -> dict[tuple, int]:
     return counts
 
 
+_SINK_KEY = ("sink", "status", "route")
+
+
 def _count_written(part_dir: str) -> dict[str, int]:
-    """Rows per "sink/status" under one partition dir (footers only)."""
-    return {f"{s}/{st}": n
-            for (s, st), n in hive_counts(part_dir, ("sink", "status")).items()}
+    """Rows per "sink/status/route" under one dir (footers only)."""
+    return {"/".join(k): n for k, n in hive_counts(part_dir, _SINK_KEY).items()}
 
 
-def run_partitioned(input_path: str, out_dir: str, config=None,
-                    use_actors: bool = False) -> "pd.DataFrame":
-    """Resumable flagship run. Returns the per-(part,sink,status) counts
-    (small pandas frame); partitions already recorded done are skipped.
+def _split_key(key: str) -> tuple[str, str, str]:
+    """"sink/status/route" → its parts; a manifest written before counts
+    carried the route has "sink/status" keys, read as route "-"."""
+    parts = key.split("/", 2)
+    return parts[0], parts[1], parts[2] if len(parts) == 3 else "-"
+
+
+def run_partitioned(input_path: str, out_dir: str,
+                    config=None) -> "pd.DataFrame":
+    """Resumable flagship run. Returns the per-(part,sink,status,route)
+    counts (small pandas frame); partitions already recorded done are
+    skipped.
 
     Done-ness is keyed on the input FILE identity (the manifest's
     ``input_file``), never on its position in the sorted listing: under
@@ -147,13 +158,12 @@ def run_partitioned(input_path: str, out_dir: str, config=None,
     manifested part_id; unseen files get fresh ids past the current
     max (first run: ids 0..n-1 in sorted order, as before)."""
     import pandas as pd
-    from ..config import default_config
+    from ..metrics_export import write_sink_counts
     from ..pipelines.flagship import build_fanout
 
-    config = config or default_config()
     files = _list_input_files(input_path)
     done = load_manifests(out_dir)
-    done_by_file = {m.input_file: m for m in done.values()}
+    done_by_file = {os.path.realpath(m.input_file): m for m in done.values()}
     # unseen files fill the smallest unmanifested ids in sorted-file
     # order (so a crash-lost partition reclaims its old id and a truly
     # new file extends past the max) — deterministic and collision-free
@@ -197,10 +207,9 @@ def run_partitioned(input_path: str, out_dir: str, config=None,
         ds = rd.read_parquet([f for _i, f in todo], include_paths=True)
         ds = ds.map_batches(_part_id_of_path({f: i for i, f in todo}),
                             batch_format="pyarrow")
-        fan = build_fanout(ds, config, use_actors=use_actors)
+        fan = build_fanout(ds, config)
         fan.write_parquet(data_dir,
-                          partition_cols=["part_id", "sink", "status",
-                                          "route"],
+                          partition_cols=["part_id", *_SINK_KEY],
                           min_rows_per_file=10_000)
         # lineage counts from the written bytes (what actually landed),
         # not the in-flight stream — the ack is the row's presence.
@@ -212,23 +221,17 @@ def run_partitioned(input_path: str, out_dir: str, config=None,
 
     # final metrics reduce over ALL manifests (metrics/metrics.go:38-75's
     # gather, re-expressed as a union of per-partition lineage rows)
-    rows = []
-    for m in load_manifests(out_dir).values():
-        for key, n in sorted(m.counts.items()):
-            sink, status = key.split("/", 1)
-            rows.append({"part_id": m.part_id, "sink": sink,
-                         "status": status, "n": n})
-    metrics = pd.DataFrame(rows, columns=["part_id", "sink", "status", "n"])
-    os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
-    agg = (metrics.groupby(["sink", "status"], as_index=False)["n"].sum()
-           .sort_values(["sink", "status"]))
-    agg.to_json(os.path.join(out_dir, "metrics", "sink_counts.json"),
-                orient="records")
+    metrics = pd.DataFrame(
+        [(m.part_id, *_split_key(key), n)
+         for m in load_manifests(out_dir).values()
+         for key, n in sorted(m.counts.items())],
+        columns=["part_id", *_SINK_KEY, "n"])
+    write_sink_counts(out_dir,
+                      metrics.groupby(list(_SINK_KEY))["n"].sum().to_dict())
     return metrics
 
 
-def retry_rejected(out_dir: str, config=None, hooks=None,
-                   use_actors: bool = False) -> int:
+def retry_rejected(out_dir: str, config=None, hooks=None) -> int:
     """Re-dispatch quarantined (rejected) rows through the filter/route/
     fan-out path — the batch form of the failed→ready retry ticker.
 
@@ -236,54 +239,48 @@ def retry_rejected(out_dir: str, config=None, hooks=None,
     the filter config between attempts; rows passing this time are
     appended under ``out/retries/<n>/`` with their own lineage manifest.
     Returns the number of rows that passed on retry."""
+    import glob as _glob
+
+    import pyarrow.parquet as pq
+
     from ..config import default_config
-    from ..pipelines.flagship import _enrich_spec, _fused, _parse_spec
-    from ..stages import FanoutEncodeStage, RouterStage
+    from ..pipelines.flagship import TRANSCRIPT_COLUMNS, _fused, _specs
 
     config = config or default_config()
-    hooks = hooks or config.hooks
     data_dir = os.path.join(out_dir, "data")
-    # rejected rows are duplicated per sink dir; scan every sink= dir and
-    # dedup by (conv_id, turn_idx) below (not just the kafka sink — a
-    # config with differently-named sinks would otherwise retry nothing)
-    import glob as _glob
-    rejected_dirs = sorted(_glob.glob(
-        os.path.join(data_dir, "*", "sink=*", "status=rejected")))
-    if not rejected_dirs:
+    # rejected rows are duplicated per sink dir; scan every sink= dir (not
+    # just the kafka sink — a config with differently-named sinks would
+    # otherwise retry nothing); the semi join below ignores duplicates
+    rejected = sorted(_glob.glob(os.path.join(
+        data_dir, "*", "sink=*", "status=rejected", "**", "*.parquet"),
+        recursive=True))
+    if not rejected:
         return 0
 
     # quarantined rows keep (conv_id, turn_idx); rebuild full records by
-    # re-reading those turns from the recorded input files. The key set
+    # re-reading those turns from the recorded input files. The key table
     # is tiny (rejects only) — driver-side read is fine.
-    import pyarrow.parquet as pq
-    key_set = set()
-    for d in rejected_dirs:
-        for f in _glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True):
-            t = pq.read_table(f, columns=["conv_id", "turn_idx"])
-            key_set.update(zip(t["conv_id"].to_pylist(),
-                               t["turn_idx"].to_pylist()))
+    key_cols = ["conv_id", "turn_idx"]
     inputs = sorted({m.input_file for m in load_manifests(out_dir).values()})
-    src = rd.read_parquet(inputs)
+    in_schema = pq.read_schema(inputs[0])
+    keys = (pa.concat_tables([pq.read_table(f, columns=key_cols)
+                              for f in rejected])
+            .group_by(key_cols).aggregate([]).select(key_cols)
+            .cast(pa.schema([in_schema.field(c) for c in key_cols])))
 
     def keep(batch: pa.Table) -> pa.Table:
-        mask = [
-            (c, int(t)) in key_set
-            for c, t in zip(batch["conv_id"].to_pylist(),
-                            batch["turn_idx"].to_pylist())]
-        return batch.filter(pa.array(mask))
+        return batch.join(keys, key_cols, join_type="left semi")
 
-    ds = src.map_batches(keep, batch_format="pyarrow")
-    specs = [_parse_spec(config), _enrich_spec(config),
-             (RouterStage, {"hooks": hooks}),
-             (FanoutEncodeStage, {"sinks": config.sinks})]
-    fan = _fused(ds, specs, None, use_actors)
+    ds = rd.read_parquet(inputs, columns=TRANSCRIPT_COLUMNS)
+    fan = _fused(ds.map_batches(keep, batch_format="pyarrow"),
+                 _specs(config, hooks))
     retry_dir = os.path.join(out_dir, "retries")
     n_prev = len(os.listdir(retry_dir)) if os.path.isdir(retry_dir) else 0
     dest = os.path.join(retry_dir, f"{n_prev:03d}")
     passing = fan.map_batches(
         lambda b: b.filter(pc.equal(b["status"], "passing")),
         batch_format="pyarrow")
-    passing.write_parquet(dest, partition_cols=["sink", "status", "route"])
+    passing.write_parquet(dest, partition_cols=list(_SINK_KEY))
     os.makedirs(dest, exist_ok=True)  # zero passing rows → nothing written
     n = sum(_count_written(dest).values())
     with open(os.path.join(dest, "_manifest.json"), "w") as fh:

@@ -43,7 +43,33 @@ def test_run_partitioned_counts_match_flagship(small_input, tmp_path, ray_sessio
     assert agg[("file", "dropped")] == 500
     assert agg[("stderr", "rejected")] == 78
     assert agg[("_parse", "error")] == 11
-    assert os.path.exists(os.path.join(out, "metrics", "sink_counts.json"))
+    assert "route" in metrics.columns
+    # both run paths write the same metrics artifact, record for record
+    from skewer_ray.pipelines.flagship import run_flagship
+    flat = str(tmp_path / "flat")
+    run_flagship(small_input, flat)
+
+    def sink_counts(d):
+        with open(os.path.join(d, "metrics", "sink_counts.json")) as fh:
+            return json.load(fh)
+    assert sink_counts(out) == sink_counts(flat)
+    assert not os.path.exists(os.path.join(flat, "metrics", "summary.json"))
+
+
+def test_resume_through_symlinked_input_redoes_nothing(
+        small_input, tmp_path, ray_session):
+    """A resume naming the same input through a symlink must match the
+    manifests' files (realpath on both sides), not re-ingest them as new
+    partitions and double the counts."""
+    out = str(tmp_path / "out")
+    m1 = run_partitioned(small_input, out)
+    link = tmp_path / "in-link"
+    link.symlink_to(small_input, target_is_directory=True)
+    m2 = run_partitioned(str(link), out)
+    assert sorted(load_manifests(out)) == [0, 1, 2]
+    a1 = m1.groupby(["sink", "status", "route"])["n"].sum().to_dict()
+    a2 = m2.groupby(["sink", "status", "route"])["n"].sum().to_dict()
+    assert a1 == a2
 
 
 def test_resume_skips_done_and_redoes_orphans(small_input, tmp_path, ray_session):
@@ -67,6 +93,28 @@ def test_resume_skips_done_and_redoes_orphans(small_input, tmp_path, ray_session
     a1 = m1.groupby(["sink", "status"])["n"].sum().to_dict()
     a2 = m2.groupby(["sink", "status"])["n"].sum().to_dict()
     assert a1 == a2
+
+
+def test_manifest_without_route_reads_as_dash(small_input, tmp_path,
+                                              ray_session):
+    """A manifest from before counts carried the route has "sink/status"
+    keys: the reduce reads them as route "-", totals unchanged."""
+    out = str(tmp_path / "out")
+    m1 = run_partitioned(small_input, out)
+    path = os.path.join(out, "_lineage", "part-00000.json")
+    with open(path) as fh:
+        m = json.load(fh)
+    legacy = {}
+    for key, n in m["counts"].items():
+        sink_status = "/".join(key.split("/", 2)[:2])
+        legacy[sink_status] = legacy.get(sink_status, 0) + n
+    m["counts"] = legacy
+    with open(path, "w") as fh:
+        json.dump(m, fh)
+    m2 = run_partitioned(small_input, out)
+    assert set(m2[m2["part_id"] == 0]["route"]) == {"-"}
+    assert (m1.groupby(["sink", "status"])["n"].sum().to_dict()
+            == m2.groupby(["sink", "status"])["n"].sum().to_dict())
 
 
 def test_manifest_atomicity_no_tmp_left(small_input, tmp_path, ray_session):
@@ -177,7 +225,6 @@ def test_prometheus_metrics_export(tmp_path):
             {"sink": "kafka", "status": "dropped", "route": "-", "n": 2},
             {"sink": "file", "status": "passing", "route": "a_b", "n": 3}]
     (mdir / "sink_counts.json").write_text(json.dumps(rows))
-    (mdir / "summary.json").write_text(json.dumps({"total_rows": 12}))
     text = render_prometheus(str(tmp_path))
     assert ('skw_routed_messages_total{sink="kafka",status="passing",'
             'route="we\\"ird\\\\r"} 7') in text
@@ -206,7 +253,7 @@ def test_watch_run_hot_config_reload(tmp_path, monkeypatch, capsys):
         "skewer_ray.toml_config.config_from_toml",
         lambda p: loads.append(p) or {"marker": len(loads)})
 
-    def fake_run(input_dir, out_dir, config=None, use_actors=False):
+    def fake_run(input_dir, out_dir, config=None):
         runs.append(config["marker"])
         # rewrite the config after the FIRST pass → the third pass (the
         # second re-hash) must rebuild
@@ -261,7 +308,7 @@ def test_watch_run_pluggable_http_kv_watcher(monkeypatch, capsys):
         "skewer_ray.toml_config.config_from_toml",
         lambda src: loads.append(src) or {"marker": len(loads)})
 
-    def fake_run(input_dir, out_dir, config=None, use_actors=False):
+    def fake_run(input_dir, out_dir, config=None):
         runs.append(config["marker"])
         if len(runs) == 1:           # bump the KV key after pass 1
             state["index"] = 2
@@ -282,6 +329,37 @@ def test_watch_run_pluggable_http_kv_watcher(monkeypatch, capsys):
     # the TOML reached the loader as TEXT fetched from the endpoint
     assert loads[1].startswith("[[syslog]]") and "9999" in loads[1]
     assert "rebuilding pipeline plan" in capsys.readouterr().out
+    assert list(agg.columns) == ["sink", "status", "n"]
+
+
+def test_watch_run_keeps_last_good_plan_on_invalid_config(monkeypatch,
+                                                          capsys):
+    """A fetched config that fails to load must not kill the watch: the
+    pass runs on the last-good plan, and a later valid config (a new
+    fingerprint) still reloads."""
+    import pandas as pd
+
+    import skewer_ray.cli as cli
+
+    good = '[[syslog]]\n  port = 1514\n  format = "rfc5424"\n'
+    fixed = '[[syslog]]\n  port = 9999\n  format = "rfc3164"\n'
+    served = iter([("v1", good), ("v2", "[[syslog]\n  port = \n"),
+                   ("v3", fixed)])
+    runs = []
+
+    def fake_run(input_dir, out_dir, config=None):
+        runs.append(config.decoder_for_family[0].format)
+        return pd.DataFrame({"sink": ["kafka"], "status": ["passing"],
+                             "n": [1]})
+
+    monkeypatch.setattr("skewer_ray.state.run_partitioned", fake_run)
+    agg = cli.watch_run("in", "out", interval=0.01, max_passes=3,
+                        watcher=lambda: next(served))
+    # pass 2 keeps plan 1; pass 3's fixed config reloads
+    assert runs == ["rfc5424", "rfc5424", "rfc3164"]
+    out = capsys.readouterr().out
+    assert "config v2 rejected" in out and "keeping current plan" in out
+    assert "config changed (v1 -> v3)" in out
     assert list(agg.columns) == ["sink", "status", "n"]
 
 
