@@ -117,12 +117,6 @@ def get_decoder(cfg: DecoderConfig):
         base = _custom_block(cfg.custom_parser)
     else:
         raise ValueError(f"unknown decoder format: {cfg.format}")
-    if cfg.format == "w3c":
-        fields = cfg.w3c_fields
-
-        def base_w3c(texts, ts_ns, out, _cfg=cfg):
-            return w3c.decode_block(texts, ts_ns, out, _cfg)
-        base = base_w3c
     if cfg.charset.lower() not in ("utf8", "utf-8"):
         base = _wrap_charset(base, cfg.charset)
     _CACHE[key] = base

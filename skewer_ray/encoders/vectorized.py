@@ -42,12 +42,13 @@ def _combine(col):
     return col
 
 
-def _render_unique(col, fn) -> pa.Array:
-    """Apply a Python renderer over the column's DISTINCT values only
-    (dictionary-encode + take); fn returning None yields null."""
+def _render_unique(col, fn, typ=pa.string()) -> pa.Array:
+    """Apply a Python function over the column's DISTINCT values only
+    (dictionary-encode + take) into a ``typ`` array; fn returning None
+    yields null."""
     d = pc.dictionary_encode(_combine(col))
     vals = [fn(v) for v in d.dictionary.to_pylist()]
-    return pc.take(pa.array(vals, pa.string()), d.indices)
+    return pc.take(pa.array(vals, typ), d.indices)
 
 
 def _floor_sec(ns_col):

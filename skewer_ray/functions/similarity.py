@@ -340,53 +340,6 @@ def kmeans_train(emb_ds, n_cells: int = 10, iters: int = 5):
     return cents
 
 
-def ivf_topk_trained(emb_ds, query_ids: list[int], k: int = DEFAULT_K,
-                     nprobe: int = IVF_NPROBE, n_cells: int = 10,
-                     iters: int = 5):
-    """IVF top-k over a TRAINED quantizer: kmeans_train centroids
-    replace the stored label column; cell assignment happens per batch
-    against the broadcast centroid matrix. Same output schema as
-    brute_force_topk."""
-    import ray
-
-    cents = kmeans_train(emb_ds, n_cells=n_cells, iters=iters)
-    qids, qmat = _query_matrix(emb_ds, query_ids)
-    qsims = qmat @ cents.T
-    probed: dict[int, set] = {}
-    for qi in range(len(qids)):
-        top = np.argsort(-qsims[qi])[:nprobe]
-        probed[int(qids[qi])] = {int(j) for j in top}
-    broadcast = ray.put((qids, qmat, cents, probed))
-    qid_set = set(int(q) for q in query_ids)
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        b_qids, b_qmat, b_cents, b_probed = ray.get(broadcast)
-        cids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        cmat = _norm_rows(np.array(batch["embedding"].to_pylist(),
-                                   dtype=np.float64))
-        cell = np.argmax(cmat @ b_cents.T, axis=1)
-        sims = np.round(b_qmat @ cmat.T, 6)
-        q_out, v_out, s_out = [], [], []
-        for qi in range(len(b_qids)):
-            cells = b_probed[int(b_qids[qi])]
-            keep = np.array([int(l) in cells and int(c) not in qid_set
-                             for l, c in zip(cell, cids)])
-            if not keep.any():
-                continue
-            kc, ks = cids[keep], sims[qi][keep]
-            idx = np.lexsort((kc, -ks))[:k]
-            q_out.extend([int(b_qids[qi])] * len(idx))
-            v_out.extend(int(kc[j]) for j in idx)
-            s_out.extend(float(ks[j]) for j in idx)
-        return pa.table({"query_id": pa.array(q_out, pa.int64()),
-                         "vec_id": pa.array(v_out, pa.int64()),
-                         "cosine": pa.array(s_out, pa.float64())})
-
-    partials = (emb_ds.select_columns(["vec_id", "embedding"])
-                .map_batches(partial_topk, batch_format="pyarrow"))
-    return _merge_topk(partials, k)
-
-
 def _bucket_of(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
     bits = (mat @ planes.T) > 0
     return (bits * (1 << np.arange(planes.shape[0]))).sum(axis=1)

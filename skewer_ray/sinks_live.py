@@ -21,6 +21,7 @@ can fold into its manifest exactly like the parquet sinks' counts.
 
 from __future__ import annotations
 
+import os
 import socket
 
 from .encoders import BINARY_ENCODERS, frame_octet, frame_relp, get_encoder
@@ -271,7 +272,9 @@ class HttpClientSink:
             except (OSError, _hc.HTTPException):
                 # HTTPException (BadStatusLine, IncompleteRead, …) is a
                 # dest error exactly like a socket failure: NACK and
-                # stop the batch for redelivery
+                # stop the batch for redelivery; the keep-alive
+                # connection is broken, so the next request reconnects
+                self._conn.close()
                 status[uid] = NACK
                 return _nack_rest(status, rows, i + 1)
             status[uid] = ACK if 200 <= resp.status < 300 else NACK
@@ -306,7 +309,6 @@ class GraylogClientSink:
 
     def send_rows(self, rows: list[dict]) -> dict:
         import gzip
-        import hashlib
         from .encoders import encode_gelf
         status: dict = {}
         for i, rec in enumerate(rows):
@@ -326,7 +328,9 @@ class GraylogClientSink:
                     n = (len(data) + part - 1) // part
                     if n > GELF_MAX_CHUNKS:
                         raise OSError("message requires too many chunks")
-                    mid = hashlib.md5(str(uid).encode()).digest()[:8]
+                    # fresh id per send: a redelivered message must not
+                    # share chunk ids with an earlier, partial send
+                    mid = os.urandom(8)
                     for s in range(n):
                         frame = (GELF_CHUNK_MAGIC + mid
                                  + bytes([s, n])

@@ -2,20 +2,30 @@
 
 Mirrors the store's multi-destination ingest, where each message is
 marked ready once per enabled destination (store/store.go:1163-1178,
-dest bitmask conf/destinations.go:94-112), and per-destination encoding
-(store/dests/base.go:207-265 — encoding errors become PermError).
+dest bitmask conf/destinations.go:94-112).
+
+Each batch splits three ways on ``filter_status``. Parse errors appear
+once under sink="_parse". Dropped and rejected rows appear once per
+sink with that status: dropped → ACK, rejected → NACK
+(store/forwarder.go:192-208). Passing rows take one delivery split per
+sink (``_deliver``), the same rule for every destination kind
+(store/dests/base.go:207-265): an encoding error is a PermError, an
+item the destination refuses is a NACK (only es refuses: invalid index
+names, stages/esbulk.py), anything else is delivered as "passing".
 
 Output columns: sink, status, route, plus the routing decision and keys,
 plus ``encoded`` (the destination wire bytes as text; null unless
-passing). Routes: kafka-like sinks use the topic column; file-like sinks
-render the filename template (store/dests/filedest.go:218-235);
-catch-all sinks use "all". Parse errors appear once under sink="_parse".
+passing). Routes: kafka-like sinks use the topic column; file sinks
+render the filename template, sanitized (store/dests/filedest.go:218-235);
+es sinks render the index-name template, unsanitized; catch-all sinks
+use "all".
 
-Hot-path layout: status masks, column selection, encoding AND file-route
-template rendering are vectorized Arrow ops (encoders/vectorized.py —
-byte-identical to the per-row encoders); the per-row loop survives only
-for formats without a vectorized form (gelf/avro/protobuf/fulljson) and
-for templates with format specs.
+Encoding, framing and plain-substitution templates are vectorized Arrow
+ops (encoders/vectorized.py — byte-identical to the per-row encoders).
+Formats without a vectorized form (gelf/avro/protobuf/fulljson) and
+templates with format specs fall back to per-row calls over one lazy
+record view of the passing rows, shared by every sink: only the columns
+an encoder or template reads are materialized.
 
 Downstream this single stream is written with
 ``partition_cols=["sink", "status", "route"]`` — the Ray-native
@@ -24,13 +34,17 @@ equivalent of topic-partitioned Kafka output + template-named files.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cache, lru_cache
+from string import Formatter
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import SinkConfig, render_template
-from ..encoders import BINARY_ENCODERS, get_encoder, rfc3339_from_ns
-from ..encoders.vectorized import encode_batch, ts_date
+from ..encoders import BINARY_ENCODERS, get_encoder
+from ..encoders.vectorized import _render_unique, encode_batch, ts_date
+from .esbulk import valid_index_name
+from .route import LazyCols, Row
 
 _KEEP = ["uid", "conv_id", "turn_idx", "sub_idx", "topic",
          "partition_key", "partition_number"]
@@ -39,14 +53,13 @@ _REC_COLS = [
     "time_generated", "hostname", "appname", "procid", "msgid",
     "structured", "message", "properties",
 ]
+# fields of the per-row record view, plus "date" from time_reported
+_VIEW_COLS = _REC_COLS + ["uid", "conv_id", "turn_idx", "role"]
 # columns consumed by the routed stream itself; anything else is an
 # extra passthrough (e.g. part_id lineage) and is kept in the output
 _CONSUMED = set(_KEEP) | set(_REC_COLS) | {
     "role", "tool", "ts", "parse_ok", "role_class", "tool_category",
     "filter_result", "filter_status"}
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=1 << 16)
@@ -55,15 +68,9 @@ def _sanitize_route(r: str) -> str:
     return out or "unknown"
 
 
-def _tmpl_fields(tmpl: str) -> tuple[str, ...]:
-    from string import Formatter
-    return tuple(f for _lit, f, _sp, _cv in Formatter().parse(tmpl) if f)
-
-
 def _tmpl_pieces(tmpl: str):
     """(literal, field) pieces for plain substitution templates, or None
     when the template uses format specs/conversions (per-row fallback)."""
-    from string import Formatter
     pieces = []
     for lit, f, spec, conv in Formatter().parse(tmpl):
         if conv or (spec not in (None, "")):
@@ -78,19 +85,16 @@ _TMPL_KINDS = ("file", "es")   # kinds whose route renders a template
 class FanoutEncodeStage:
     def __init__(self, sinks: tuple[SinkConfig, ...] | list[SinkConfig]):
         self.sinks = [(s, get_encoder(s.encoder),
-                       _tmpl_fields(s.filename_tmpl)
-                       if s.kind in _TMPL_KINDS else (),
                        _tmpl_pieces(s.filename_tmpl)
                        if s.kind in _TMPL_KINDS else None) for s in sinks]
 
     @staticmethod
-    def _routes_vec(pieces, sub: pa.Table, sanitize: bool = True):
+    def _routes_vec(pieces, sub: pa.Table, sanitize: bool):
         """Vectorized template render: Arrow string join over literal
         scalars and field columns; with ``sanitize`` the filename
         sanitizer runs once per DISTINCT rendered route; without it the
         raw render is returned (the es index name must be validated
         unsanitized)."""
-        from ..encoders.vectorized import _render_unique
         parts = []
         has_array = False
         for lit, field in pieces:
@@ -128,9 +132,7 @@ class FanoutEncodeStage:
         def col(v, typ):
             if isinstance(v, (pa.Array, pa.ChunkedArray)):
                 return v
-            if v is None:
-                return pa.nulls(n, typ)
-            return pa.array([v] * n, typ)
+            return pa.repeat(pa.scalar(v, typ), n)
 
         cols = {
             "sink": col(sink, pa.string()),
@@ -180,137 +182,77 @@ class FanoutEncodeStage:
                 framed)
         raise ValueError(f"unknown framing: {framing}")
 
+    def _deliver(self, sub: pa.Table, sink, records) -> list[pa.Table]:
+        """One destination's account of the passing rows ``sub``:
+        delivered ("passing", with route and wire bytes), refused
+        ("nack") or unencodable ("permerror"). ``records()`` returns the
+        shared per-row record view."""
+        s, encode, pieces = sink
+        enc = encode_batch(s.encoder, sub)
+        if enc is None:
+            enc = pa.array([encode(r) for r in records()], pa.string())
+        if s.framing:
+            enc = self._frame(s.framing, enc, sub, s.encoder)
+        if s.kind == "kafka":
+            route = sub["topic"]
+        elif s.kind not in _TMPL_KINDS:
+            route = "all"
+        elif pieces is not None:
+            route = self._routes_vec(pieces, sub, sanitize=s.kind == "file")
+        else:
+            route = pa.array([render_template(s.filename_tmpl, r)
+                              for r in records()], pa.string())
+            if s.kind == "file":
+                route = _render_unique(route, _sanitize_route)
+        ok = deliver = pc.is_valid(enc)
+        nack = None
+        if s.kind == "es":
+            # per-item bulk ack model (stages/esbulk.py): the simulated
+            # bulk response fails exactly the items whose rendered index
+            # name is invalid; validity is evaluated once per DISTINCT
+            # name — identical to folding bulk_responses()+after() row
+            # by row (pinned by tests/test_esbulk.py)
+            names = (pa.repeat(route, sub.num_rows)
+                     if isinstance(route, str) else route)
+            acked = _render_unique(names, valid_index_name, pa.bool_())
+            deliver = pc.and_(ok, acked)
+            nack = pc.and_(ok, pc.invert(acked))
+        if pc.all(deliver).as_py():
+            return [self._with_consts(sub, s.name, "passing", route, enc)]
+        if not isinstance(route, str):
+            route = route.filter(deliver)
+        parts = [self._with_consts(sub.filter(deliver), s.name, "passing",
+                                   route, enc.filter(deliver))]
+        if nack is not None:
+            parts.append(self._with_consts(sub.filter(nack), s.name,
+                                           "nack", "-", None))
+        parts.append(self._with_consts(sub.filter(pc.invert(ok)), s.name,
+                                       "permerror", "-", None))
+        return parts
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        status_np = np.asarray(batch["filter_status"].to_pylist(), dtype=object)
-        m_err = status_np == "parse_error"
-        m_pass = status_np == "passing"
-        m_other = ~(m_err | m_pass)
+        status = batch["filter_status"]
+        m_err = pc.equal(status, "parse_error")
+        m_pass = pc.equal(status, "passing")
+        other = batch.filter(pc.invert(pc.or_(m_err, m_pass)))
+        parts = [self._with_consts(batch.filter(m_err), "_parse", "error",
+                                   "-", None)]
+        # dropped → ACK, rejected → NACK, once per destination
+        # (store/forwarder.go:192-208)
+        parts += [self._with_consts(other, s.name, other["filter_status"],
+                                    "-", None) for s, _e, _p in self.sinks]
+        sub = batch.filter(m_pass)
+        if sub.num_rows:
+            @cache
+            def records():
+                view = sub.select(_VIEW_COLS).append_column(
+                    "date", ts_date(sub["time_reported"]))
+                cols = LazyCols(view, view.column_names)
+                return [Row(cols, i) for i in range(view.num_rows)]
 
-        parts: list[pa.Table] = []
-        if m_err.any():
-            sub = batch.filter(pa.array(m_err))
-            parts.append(self._with_consts(sub, "_parse", "error", "-", None))
-
-        if m_other.any():
-            arr = pa.array(m_other)
-            sub = batch.filter(arr)
-            st = sub["filter_status"]
-            # dropped → ACK, rejected → NACK, once per destination
-            # (store/forwarder.go:192-208)
-            for s, _enc, _tf, _tp in self.sinks:
-                parts.append(self._with_consts(sub, s.name, st, "-", None))
-
-        if m_pass.any():
-            sub = batch.filter(pa.array(m_pass))
-            n = sub.num_rows
-            topics = sub["topic"]
-            colmap = recs = None
-            for s, encode, tmpl_fields, pieces in self.sinks:
-                enc_arr = encode_batch(s.encoder, sub)
-                if enc_arr is None:
-                    # no vectorized form for this format: per-row loop
-                    # over lazy column views (built once, shared across
-                    # all fallback sinks in the batch)
-                    if recs is None:
-                        from .route import Row
-                        colmap = {c: sub[c].to_pylist()
-                                  for c in _REC_COLS + ["uid", "conv_id",
-                                                        "turn_idx", "role"]}
-                        recs = [Row(colmap, i) for i in range(n)]
-                    enc_arr = pa.array([encode(r) for r in recs],
-                                       pa.string())
-                if s.framing:
-                    enc_arr = self._frame(s.framing, enc_arr, sub, s.encoder)
-                if s.kind == "es":
-                    # per-item bulk ack model (stages/esbulk.py): the
-                    # simulated bulk response fails exactly the items
-                    # whose rendered index name is invalid; validity is
-                    # evaluated once per DISTINCT name — identical to
-                    # folding bulk_responses()+after() row by row
-                    # (pinned by tests/test_esbulk.py)
-                    from .esbulk import valid_index_name
-                    if pieces is not None:
-                        names = self._routes_vec(pieces, sub,
-                                                 sanitize=False)
-                    else:
-                        if recs is None:
-                            from .route import Row
-                            colmap = {c: sub[c].to_pylist()
-                                      for c in _REC_COLS + ["uid", "conv_id",
-                                                            "turn_idx",
-                                                            "role"]}
-                            recs = [Row(colmap, i) for i in range(n)]
-                        names = pa.array(
-                            [render_template(s.filename_tmpl, r)
-                             for r in recs], pa.string())
-                    ok = pc.is_valid(enc_arr)
-                    if isinstance(names, str):
-                        acked = pa.nulls(n, pa.bool_()).fill_null(
-                            valid_index_name(names))
-                        names = pa.array([names] * n, pa.string())
-                    else:
-                        d = pc.dictionary_encode(names)
-                        if isinstance(d, pa.ChunkedArray):
-                            d = d.combine_chunks()
-                        vmap = pa.array(
-                            [valid_index_name(v)
-                             for v in d.dictionary.to_pylist()],
-                            pa.bool_())
-                        acked = vmap.take(d.indices)
-                    m_ack = pc.and_(ok, acked)
-                    m_nack = pc.and_(ok, pc.invert(acked))
-                    parts.append(self._with_consts(
-                        sub.filter(m_ack), s.name, "passing",
-                        names.filter(m_ack), enc_arr.filter(m_ack)))
-                    parts.append(self._with_consts(
-                        sub.filter(m_nack), s.name, "nack", "-", None))
-                    if not pc.all(ok).as_py():
-                        parts.append(self._with_consts(
-                            sub.filter(pc.invert(ok)), s.name,
-                            "permerror", "-", None))
-                    continue
-                if s.kind == "kafka":
-                    route_vals = topics
-                elif s.kind == "file":
-                    # filename template over msg fields
-                    # (store/dests/filedest.go:218-235)
-                    if pieces is not None:
-                        route_vals = self._routes_vec(pieces, sub)
-                    else:
-                        if recs is None or ("date" in tmpl_fields
-                                            and "date" not in colmap):
-                            from .route import Row
-                            colmap = {c: sub[c].to_pylist()
-                                      for c in _REC_COLS + ["uid", "conv_id",
-                                                            "turn_idx",
-                                                            "role"]}
-                            if "date" in tmpl_fields:
-                                colmap["date"] = [
-                                    rfc3339_from_ns(t)[:10]
-                                    for t in colmap["time_reported"]]
-                            recs = [Row(colmap, i) for i in range(n)]
-                        route_vals = pa.array(
-                            [_sanitize_route(
-                                render_template(s.filename_tmpl, r))
-                             for r in recs], pa.string())
-                else:
-                    route_vals = "all"
-                ok = pc.is_valid(enc_arr)
-                if pc.all(ok).as_py():
-                    parts.append(self._with_consts(
-                        sub, s.name, "passing", route_vals, enc_arr))
-                else:
-                    # encoding errors → PermError rows with no route/bytes
-                    good = sub.filter(ok)
-                    rv = (route_vals if isinstance(route_vals, str)
-                          else pc.filter(route_vals, ok))
-                    parts.append(self._with_consts(
-                        good, s.name, "passing", rv,
-                        enc_arr.filter(ok)))
-                    bad = sub.filter(pc.invert(ok))
-                    parts.append(self._with_consts(
-                        bad, s.name, "permerror", "-", None))
-
+            for sink in self.sinks:
+                parts += self._deliver(sub, sink, records)
+        parts = [p for p in parts if p.num_rows]
         if not parts:
             return self._with_consts(batch.slice(0, 0), "_", "_", "-", None)
         return pa.concat_tables(parts)

@@ -8,9 +8,10 @@ config). 1→N decoders (W3C multi-line payloads) expand rows with
 ``sub_idx``; the deterministic ``uid = conv_id:turn_idx:sub_idx`` replaces
 the random ULID (utils/ulid.go:16-177).
 
-Used as ``map_batches(ParseStage(cfg), batch_format="pyarrow")`` — a
-callable class so decoder construction (registry lookup, custom-parser
-compilation) happens once per actor, not once per batch.
+A callable class so decoder construction (registry lookup,
+custom-parser compilation) happens once per worker, not once per batch:
+the fused task-pool chain (stages/fused.py) builds it once per worker
+process and reuses it across batches.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class ParseStage:
     def __init__(self, decoder_for_family: dict[int, DecoderConfig] | None = None,
                  single: DecoderConfig | None = None,
                  custom_parsers: dict | None = None):
-        # user parsers are registered HERE (once per actor/process) — the
+        # user parsers are registered HERE (once per worker process) — the
         # equivalent of compiling JS parser funcs per VM-pool entry
         # (decoders/decode.go:85-99); cloudpickle ships the callables.
         if custom_parsers:

@@ -1,12 +1,13 @@
-"""Routing stage — the Forwarder re-expressed as an actor-pool map_batches.
+"""Routing stage — the Forwarder re-expressed as a per-batch map_batches stage.
 
 Mirrors store/forwarder.go:126-219: per message compute topic /
 partition key / partition number (kafka-like dests only), then run the
 filter hook: DROPPED → acked-but-not-delivered, REJECTED → retry later,
 PASS → deliver (with hook mutations written back,
 javascript/vm.go:427-436), anything else → PermError. Hook environments
-are compiled once per actor per ConfId (forwarder.go:133-156) — here the
-HookSet arrives pre-built in ``__init__`` and is cached per conf key.
+are compiled once per ConfId (forwarder.go:133-156) — here the HookSet
+arrives pre-built in ``__init__``, once per worker (stages/fused.py), and
+is cached per conf key.
 
 Generic hooks are arbitrary Python callables ⇒ a per-row loop over just
 the columns the hooks read; the stage pulls only those columns out of the

@@ -322,6 +322,73 @@ def test_framed_sink_through_fanout():
         assert int(n) == len(payload[:-1].encode("utf-8"))
 
 
+def test_fanout_per_row_fallbacks_match_row_encoders():
+    """Formats without a vectorized encoder and templates with format
+    specs go through the per-row fallback: every passing row's bytes,
+    route and es ack equal the per-row encoder, render_template (file
+    routes sanitized, es names raw) and valid_index_name."""
+    import pyarrow.compute as pc
+
+    from skewer_ray.config import SinkConfig, default_config, render_template
+    from skewer_ray.encoders import get_encoder, rfc3339_from_ns
+    from skewer_ray.gen import generate_table
+    from skewer_ray.stages import (EnrichStage, FanoutEncodeStage,
+                                   ParseStage, RouterStage)
+    from skewer_ray.stages.esbulk import valid_index_name
+    from skewer_ray.stages.fanout import _sanitize_route
+
+    cfg = default_config()
+    b = ParseStage(decoder_for_family=cfg.decoder_for_family,
+                   custom_parsers=cfg.custom_parsers)(generate_table(2000))
+    b = EnrichStage(role_lookup=cfg.role_lookup,
+                    tool_lookup=cfg.tool_lookup)(b)
+    b = RouterStage(hooks=cfg.hooks)(b)
+    sinks = (
+        SinkConfig(name="gelf", kind="kafka", encoder="gelf"),
+        SinkConfig(name="avro", kind="kafka", encoder="avro"),
+        SinkConfig(name="file", kind="file", encoder="file",
+                   filename_tmpl="{appname:>5}_{date}"),
+        SinkConfig(name="es", kind="es", encoder="json",
+                   filename_tmpl="logs-{severity:02d}-{hostname!s}"),
+        SinkConfig(name="es_mix", kind="es", encoder="json",
+                   filename_tmpl="logs-{msgid!s}-{severity:02d}"),
+    )
+    out = FanoutEncodeStage(sinks=sinks)(b)
+
+    passing = b.filter(pc.equal(b["filter_status"], "passing")).to_pylist()
+    assert len(passing) > 1000
+    for r in passing:
+        r["date"] = rfc3339_from_ns(r["time_reported"])[:10]
+    got = {(s, u): (st, rt, e) for s, u, st, rt, e in zip(
+        *(out[c].to_pylist()
+          for c in ("sink", "uid", "status", "route", "encoded")))}
+    es_statuses = set()
+    for s in sinks:
+        encode = get_encoder(s.encoder)
+        for r in passing:
+            status, route, encoded = got[(s.name, r["uid"])]
+            want = encode(r)
+            if want is None:
+                assert (status, encoded) == ("permerror", None)
+                continue
+            if s.kind == "kafka":
+                assert (status, route, encoded) == \
+                    ("passing", r["topic"], want)
+            elif s.kind == "file":
+                assert (status, encoded) == ("passing", want)
+                assert route == _sanitize_route(
+                    render_template(s.filename_tmpl, r))
+            else:
+                name = render_template(s.filename_tmpl, r)
+                es_statuses.add(status)
+                if valid_index_name(name):
+                    assert (status, route, encoded) == \
+                        ("passing", name, want)
+                else:
+                    assert (status, route, encoded) == ("nack", "-", None)
+    assert es_statuses == {"passing", "nack"}
+
+
 def test_avro_textual_variants_roundtrip():
     """jsonavro/fulljsonavro (encoders/json.go:58-79,109-132): Avro JSON
     text whose parsed content equals the binary form's decode — the

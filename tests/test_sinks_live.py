@@ -187,6 +187,71 @@ def test_http_client_sink_content_type_auto():
     src.close()
 
 
+def _truncating_http_server(sock, stop):
+    """Answers its first request with a truncated body (Content-Length
+    100, 5 bytes sent, then close); every later connection gets normal
+    empty 200s, request after request, until ``stop`` is set."""
+    def read_request(f):
+        length = 0
+        while True:
+            line = f.readline()
+            if not line:
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            k, _, v = line.decode().partition(":")
+            if k.strip().lower() == "content-length":
+                length = int(v)
+        f.read(length)
+        return True
+
+    first = True
+    sock.settimeout(0.2)
+    while not stop.is_set():
+        try:
+            conn, _ = sock.accept()
+        except TimeoutError:
+            continue
+        conn.settimeout(5)
+        with conn, conn.makefile("rb") as f:
+            while read_request(f):
+                if first:
+                    first = False
+                    conn.sendall(b"HTTP/1.1 200 OK\r\n"
+                                 b"Content-Length: 100\r\n\r\nhello")
+                    break
+                conn.sendall(b"HTTP/1.1 200 OK\r\n"
+                             b"Content-Length: 0\r\n\r\n")
+
+
+def test_http_client_sink_reconnects_after_truncated_response():
+    """A broken keep-alive connection NACKs its batch only: the next
+    batch goes out on a fresh connection and ACKs."""
+    import threading
+
+    from skewer_ray.sinks_live import HttpClientSink
+
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen()
+    stop = threading.Event()
+    thread = threading.Thread(target=_truncating_http_server,
+                              args=(srv, stop), daemon=True)
+    thread.start()
+    sink = HttpClientSink(srv.getsockname())
+    try:
+        first = sink.send_rows([rec("t1"), rec("t2")])
+        second = sink.send_rows([rec("t3")])
+    finally:
+        sink.close()
+        stop.set()
+        thread.join(timeout=10)
+        srv.close()
+    assert not thread.is_alive()
+    assert first == {"t1": NACK, "t2": NACK}
+    assert second == {"t3": ACK}
+
+
 def test_graylog_sink_single_datagram_roundtrip():
     """Small message → ONE gzip datagram our chunk source inflates back
     to the exact GELF JSON."""
@@ -243,6 +308,45 @@ def test_graylog_sink_chunked_reassembles_via_own_source(ray_session):
         .to_pandas()
     assert list(out["status"]) == ["ok"]
     assert out["text"][0] == encode_gelf(big)
+
+
+def test_graylog_sink_redelivery_uses_fresh_chunk_id(ray_session):
+    """Sending the same oversized record twice (a redelivery) yields two
+    chunk sets with different message ids, so a receiver reassembles
+    each set on its own instead of mixing their chunks."""
+    import socket as s
+
+    import ray.data as rd
+
+    from skewer_ray.encoders import encode_gelf
+    from skewer_ray.sinks_live import GraylogClientSink
+    from skewer_ray.sources.gelf_chunks import (datagrams_to_rows,
+                                                reassemble, split_datagram)
+
+    srv = s.socket(s.AF_INET, s.SOCK_DGRAM)
+    srv.bind(("127.0.0.1", 0))
+    big = rec("g3", message="payload " * 400)
+    sink = GraylogClientSink(srv.getsockname(), compress=False, mtu=600)
+    statuses = [sink.send_rows([big]), sink.send_rows([big])]
+    datagrams = []
+    while True:
+        try:
+            srv.settimeout(0.5 if datagrams else 5)
+            datagrams.append(srv.recvfrom(65536)[0])
+        except TimeoutError:
+            break
+    sink.close()
+    srv.close()
+    assert statuses == [{"g3": ACK}, {"g3": ACK}]
+    ids = [split_datagram(d)[0] for d in datagrams]
+    half = len(ids) // 2
+    assert half > 1 and len(ids) == 2 * half
+    assert set(ids[:half]) != set(ids[half:])
+    assert len(set(ids[:half])) == len(set(ids[half:])) == 1
+    out = reassemble(rd.from_arrow(datagrams_to_rows(datagrams))) \
+        .to_pandas()
+    assert list(out["status"]) == ["ok", "ok"]
+    assert list(out["text"]) == [encode_gelf(big)] * 2
 
 
 def _mini_nats_server(sock, published):
