@@ -4,7 +4,8 @@ Mirrors the reference's per-source ``FilterSubConfig`` (conf/types.go:368-375:
 filter func, topic func/template, partition-key func/template, partition
 number func) and ``DecoderBaseConfig``, with JS hooks re-expressed as Python
 callables or ``str.format``-style template strings. Hooks are compiled once
-per router actor (store/forwarder.go:133-156's per-ConfId env cache).
+per config and built once per worker (store/forwarder.go:133-156's
+per-ConfId env cache).
 """
 
 from __future__ import annotations
@@ -41,17 +42,54 @@ def render_template(tmpl: str, rec) -> str:
     return tmpl.format_map(_SafeView(rec))
 
 
+def template_pieces(tmpl: str):
+    """(literal, field) pieces of a plain-substitution template, or None
+    when it uses format specs or conversions (those render per row)."""
+    from string import Formatter
+    pieces = []
+    for lit, f, spec, conv in Formatter().parse(tmpl):
+        if conv or spec:
+            return None
+        pieces.append((lit, f))
+    return pieces
+
+
+def render_template_batch(pieces, column):
+    """Vectorized ``render_template`` over ``template_pieces``: an Arrow
+    string join of the literals and the field columns. ``column(field)``
+    returns the field's array, or None for a field that renders empty;
+    nulls render empty, as in ``_SafeView``. Returns a plain str when no
+    piece reads a column."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    parts = []
+    has_array = False
+    for lit, field in pieces:
+        if lit:
+            parts.append(lit)
+        col = None if field is None else column(field)
+        if col is not None:
+            if not pa.types.is_string(col.type):
+                col = pc.cast(col, pa.string())
+            parts.append(pc.fill_null(col, ""))
+            has_array = True
+    if not has_array:
+        return "".join(parts)
+    out = parts[0] if len(parts) == 1 else pc.binary_join_element_wise(
+        *parts, "")
+    return out.combine_chunks() if isinstance(out, pa.ChunkedArray) else out
+
+
 @dataclass(frozen=True)
 class HookSet:
     """Filter/topic/partition hooks for one source config (ConfId).
 
     The per-record callables mirror the reference's per-message JS hooks
     and accept ANY Python function. The optional ``*_batch`` forms are
-    the Ray-native vectorized fast path: when topic_batch,
-    partition_key_batch and filter_batch are all provided (and the
-    stream uses a single HookSet), RouterStage skips the per-row loop
-    entirely. Both forms of the default hooks are asserted equivalent in
-    tests/test_route.py."""
+    the Ray-native vectorized fast path: RouterStage routes the rows of
+    a HookSet whose ``vectorized`` holds with Arrow ops and no per-row
+    loop (toml_config compiles simple Python hooks to these forms). Both
+    forms are asserted equivalent in tests/test_route.py."""
 
     topic_fn: Optional[Callable[[dict], str]] = None
     topic_tmpl: str = ""
@@ -74,7 +112,9 @@ class HookSet:
     def vectorized(self) -> bool:
         return (self.topic_batch is not None
                 and self.partition_key_batch is not None
-                and self.filter_batch is not None)
+                and self.filter_batch is not None
+                and (self.partition_number_fn is None
+                     or self.partition_number_batch is not None))
 
     def topic(self, rec: dict) -> str:
         """JS func first, template fallback, empty/invalid → default-topic
@@ -201,8 +241,25 @@ def default_filter_batch(batch):
         pc.equal(batch["severity"], 7), FILTER_DROPPED,
         pc.if_else(pc.equal(batch["appname"], "reject-me"),
                    FILTER_REJECTED, FILTER_PASS))
-    return (pc.cast(codes, pa.int32()),
-            {"msgid": pc.utf8_upper(batch["msgid"])})
+    return (pc.cast(codes, pa.int32()), {"msgid": str_upper(batch["msgid"])})
+
+
+def str_upper(col):
+    """Python ``str.upper`` over a string array: ``pc.utf8_upper`` where
+    the value is ASCII, ``str.upper`` once per distinct non-ASCII value
+    elsewhere (Arrow maps 'ß' to 'ẞ' where Python and JS give 'SS')."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from .encoders.vectorized import _render_unique
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    up = pc.utf8_upper(col)
+    is_ascii = pc.string_is_ascii(col)
+    if not is_ascii.false_count:
+        return up
+    other = pc.invert(pc.fill_null(is_ascii, True))
+    return pc.replace_with_mask(
+        up, other, _render_unique(col.filter(other), str.upper))
 
 
 def default_filter(rec: dict):

@@ -35,12 +35,12 @@ equivalent of topic-partitioned Kafka output + template-named files.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from string import Formatter
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import SinkConfig, render_template
+from ..config import (SinkConfig, render_template, render_template_batch,
+                      template_pieces)
 from ..encoders import BINARY_ENCODERS, get_encoder
 from ..encoders.vectorized import _render_unique, encode_batch, ts_date
 from .esbulk import valid_index_name
@@ -68,59 +68,30 @@ def _sanitize_route(r: str) -> str:
     return out or "unknown"
 
 
-def _tmpl_pieces(tmpl: str):
-    """(literal, field) pieces for plain substitution templates, or None
-    when the template uses format specs/conversions (per-row fallback)."""
-    pieces = []
-    for lit, f, spec, conv in Formatter().parse(tmpl):
-        if conv or (spec not in (None, "")):
-            return None
-        pieces.append((lit, f))
-    return pieces
-
-
 _TMPL_KINDS = ("file", "es")   # kinds whose route renders a template
 
 
 class FanoutEncodeStage:
     def __init__(self, sinks: tuple[SinkConfig, ...] | list[SinkConfig]):
         self.sinks = [(s, get_encoder(s.encoder),
-                       _tmpl_pieces(s.filename_tmpl)
+                       template_pieces(s.filename_tmpl)
                        if s.kind in _TMPL_KINDS else None) for s in sinks]
 
     @staticmethod
     def _routes_vec(pieces, sub: pa.Table, sanitize: bool):
-        """Vectorized template render: Arrow string join over literal
-        scalars and field columns; with ``sanitize`` the filename
-        sanitizer runs once per DISTINCT rendered route; without it the
-        raw render is returned (the es index name must be validated
-        unsanitized)."""
-        parts = []
-        has_array = False
-        for lit, field in pieces:
-            if lit:
-                parts.append(lit)
-            if field is None:
-                continue
+        """Vectorized template render (``config.render_template_batch``,
+        with ``{date}`` from ``time_reported``); with ``sanitize`` the
+        filename sanitizer runs once per DISTINCT rendered route; without
+        it the raw render is returned (the es index name must be
+        validated unsanitized)."""
+        def column(field):
             if field == "date":
-                parts.append(ts_date(sub["time_reported"]))
-                has_array = True
-            elif field in sub.column_names:
-                col = sub[field]
-                if not pa.types.is_string(col.type):
-                    col = pc.cast(col, pa.string())
-                parts.append(col)
-                has_array = True
-            # missing fields render empty (config._SafeView semantics)
-        if not has_array:
-            joined = "".join(p for p in parts)
-            return _sanitize_route(joined) if sanitize else joined
-        if len(parts) == 1:
-            out = parts[0]
-        else:
-            out = pc.binary_join_element_wise(*parts, "")
-        if isinstance(out, pa.ChunkedArray):
-            out = out.combine_chunks()
+                return ts_date(sub["time_reported"])
+            return sub[field] if field in sub.column_names else None
+
+        out = render_template_batch(pieces, column)
+        if isinstance(out, str):
+            return _sanitize_route(out) if sanitize else out
         return _render_unique(out, _sanitize_route) if sanitize else out
 
     @staticmethod

@@ -9,19 +9,27 @@ are compiled once per ConfId (forwarder.go:133-156) — here the HookSet
 arrives pre-built in ``__init__``, once per worker (stages/fused.py), and
 is cached per conf key.
 
-Generic hooks are arbitrary Python callables ⇒ a per-row loop over just
-the columns the hooks read; the stage pulls only those columns out of the
-Arrow batch and writes back whole replacement columns (the batch stays
-zero-copy for every untouched column).
+One dispatcher routes every batch: rows are grouped by the HookSet their
+source family resolves to (a single-HookSet stream is one group), each
+group is routed by ``_call_vectorized`` when its HookSet has batch forms
+(the defaults, or TOML hooks compiled by toml_config) and by the
+per-row loop ``_call_rows`` otherwise, and the rows come back in input
+order. The per-row loop reads only the columns the hooks touch and
+writes back whole replacement columns (the batch stays zero-copy for
+every untouched column); it is also the parity oracle for the batch
+forms (tests/test_route.py).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import HookSet
 from ..constants import FILTER_NAMES, FILTER_PASS
+from ..gen import N_FAMILIES
+from .parse import family_array
 
 # columns exposed to hooks (a superset of what templates/filters touch)
 _HOOK_COLS = [
@@ -30,6 +38,11 @@ _HOOK_COLS = [
     "message", "time_reported",
 ]
 _MUTABLE = ["hostname", "appname", "procid", "msgid", "message"]
+# filter code → filter_status (codes outside 0..3 are "error")
+_STATUS_NAMES = pa.array([FILTER_NAMES[c] for c in range(4)], pa.string())
+_ERROR = pa.scalar(3, pa.int32())
+_ZERO = pa.scalar(0, pa.int32())
+_PARSE_ERROR = pa.scalar(-1, pa.int32())
 
 
 class LazyCols:
@@ -104,53 +117,93 @@ class RouterStage:
         """``hooks``: one HookSet for the whole stream, or a dict keyed
         by conf id — the per-source family int (conv_index % 12, the
         transcript stand-in for ConfId) — with key ``None`` as the
-        fallback. Hook envs are built once per worker, selected per row
-        (store/forwarder.go:133-156)."""
+        fallback. Hook envs are built once per worker, selected per
+        family (store/forwarder.go:133-156)."""
         if isinstance(hooks, HookSet):
             self.hooks_for = {None: hooks}
         else:
             self.hooks_for = dict(hooks)
         self.default = self.hooks_for.get(None) or next(iter(self.hooks_for.values()))
         self.multi = len([k for k in self.hooks_for if k is not None]) > 0
+        # the distinct HookSets (by identity), and each family's index
+        per_family = [self.hooks_for.get(f, self.default)
+                      for f in range(N_FAMILIES)]
+        index: dict[int, int] = {}
+        self.group_of = np.array([index.setdefault(id(h), len(index))
+                                  for h in per_family])
+        self.groups = list({id(h): h for h in per_family}.values())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.multi and self.default.vectorized:
-            return self._call_vectorized(batch, self.default)
+        n = batch.num_rows
+        # a null parse_ok is a parse error, as the per-row loop has it
+        if "parse_ok" in batch.column_names:
+            ok = pc.fill_null(batch["parse_ok"], False)
+        else:
+            ok = pa.repeat(pa.scalar(True), n)
+        if len(self.groups) == 1 or n == 0:
+            return self._assemble(batch, ok,
+                                  self._hook_cols(batch, self.groups[0], ok))
+        gid = self.group_of[family_array(batch["conv_id"])]
+        starts = np.flatnonzero(gid[1:] != gid[:-1]) + 1
+        inv = None
+        if len(starts) + 1 != len(np.unique(gid)):
+            # a group spans several runs: route it in one piece, then
+            # restore the input order
+            order = np.argsort(gid, kind="stable")
+            inv = np.empty_like(order)
+            inv[order] = np.arange(n)
+            batch, ok, gid = batch.take(order), ok.take(order), gid[order]
+            starts = np.flatnonzero(gid[1:] != gid[:-1]) + 1
+        bounds = [0, *starts.tolist(), n]
+        parts = [self._hook_cols(batch.slice(a, b - a), self.groups[gid[a]],
+                                 ok.slice(a, b - a))
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        # one column per output across the groups; a group that does not
+        # mutate a field contributes the field's own values
+        names = batch.column_names
+        keys = [k for k in dict.fromkeys(k for p in parts for k in p[4])
+                if k in _MUTABLE and k in names]
+        muts = {k: pa.chunked_array([
+            p[4].get(k, batch[k].slice(a, b - a))
+            for p, a, b in zip(parts, bounds[:-1], bounds[1:])])
+            for k in keys}
+        cols = [pa.chunked_array([p[j] for p in parts]) for j in range(4)]
+        out = self._assemble(batch, ok, (*cols, muts))
+        return out if inv is None else out.take(inv)
+
+    @staticmethod
+    def _hook_cols(batch: pa.Table, hs: HookSet, ok):
+        """(topics, partition keys, partition numbers, filter codes,
+        mutations) of one group's rows, from its batch forms or its
+        per-row loop."""
+        if hs.vectorized:
+            return RouterStage._call_vectorized(batch, hs)
+        return RouterStage._call_rows(batch, hs, ok)
+
+    @staticmethod
+    def _call_rows(batch: pa.Table, hs: HookSet, ok):
+        """The per-row loop: one hook call per parsed row over lazy
+        record views. Mutations are whole columns, holding the new value
+        on the PASS rows that set it."""
         n = batch.num_rows
         cols = LazyCols(batch, _HOOK_COLS)
-        parse_ok = batch["parse_ok"].to_pylist() if "parse_ok" in batch.column_names \
-            else [True] * n
+        parse_ok = ok.to_pylist()
 
         topics = [""] * n
         pkeys = [""] * n
         pnums = [0] * n
         fres = [FILTER_PASS] * n
-        fstatus = ["passing"] * n
         mutated: dict[str, list] = {}
 
-        if self.multi:
-            from .parse import family_array
-            fams = family_array(batch["conv_id"])
-            hooks_row = [self.hooks_for.get(int(f), self.default)
-                         for f in fams]
-        else:
-            hooks_row = None
-
-        hook = self.default
         for i in range(n):
             if not parse_ok[i]:
-                fres[i] = -1
-                fstatus[i] = "parse_error"
                 continue
-            if hooks_row is not None:
-                hook = hooks_row[i]
             rec = Row(cols, i)
-            topics[i] = hook.topic(rec)
-            pkeys[i] = hook.partition_key(rec)
-            pnums[i] = hook.partition_number(rec)
-            code, mut = hook.filter(rec)
+            topics[i] = hs.topic(rec)
+            pkeys[i] = hs.partition_key(rec)
+            pnums[i] = hs.partition_number(rec)
+            code, mut = hs.filter(rec)
             fres[i] = code
-            fstatus[i] = FILTER_NAMES.get(code, "error")
             if code == FILTER_PASS and mut:
                 for k, v in mut.items():
                     if k not in mutated:
@@ -159,59 +212,48 @@ class RouterStage:
                         mutated[k] = list(cols[k])
                     mutated[k][i] = v
 
-        for k, vals in mutated.items():
-            if k in _MUTABLE:
-                idx = batch.column_names.index(k)
-                batch = batch.set_column(idx, k, pa.array(vals, pa.string()))
-
-        return (batch
-                .append_column("topic", pa.array(topics, pa.string()))
-                .append_column("partition_key", pa.array(pkeys, pa.string()))
-                .append_column("partition_number", pa.array(pnums, pa.int32()))
-                .append_column("filter_result", pa.array(fres, pa.int32()))
-                .append_column("filter_status", pa.array(fstatus, pa.string())))
+        return (pa.array(topics, pa.string()), pa.array(pkeys, pa.string()),
+                pa.array(pnums, pa.int32()), pa.array(fres, pa.int32()),
+                {k: pa.array(v, pa.string()) for k, v in mutated.items()
+                 if k in _MUTABLE})
 
     @staticmethod
-    def _call_vectorized(batch: pa.Table, hs: HookSet) -> pa.Table:
-        """All-Arrow routing when every hook has a batch form: no per-row
+    def _call_vectorized(batch: pa.Table, hs: HookSet):
+        """All-Arrow hooks when every hook has a batch form: no per-row
         loop, no column materialization. Semantics identical to the loop
-        (asserted in tests/test_route.py): hooks see pre-mutation
-        columns; parse_error rows get empty topic/pkey, code -1."""
-        n = batch.num_rows
-        if "parse_ok" in batch.column_names:
-            ok = pc.fill_null(batch["parse_ok"], True)
-        else:
-            ok = pa.array([True] * n, pa.bool_())
-
-        topics = hs.topic_batch(batch)
-        pkeys = hs.partition_key_batch(batch)
+        (asserted in tests/test_route.py); hooks see pre-mutation
+        columns."""
         if hs.partition_number_batch is not None:
             pnums = pc.cast(hs.partition_number_batch(batch), pa.int32())
         else:
-            pnums = pa.nulls(n, pa.int32()).fill_null(0)
+            pnums = pa.repeat(_ZERO, batch.num_rows)
         codes, muts = hs.filter_batch(batch)
+        return (hs.topic_batch(batch), hs.partition_key_batch(batch), pnums,
+                codes, muts or {})
 
+    @staticmethod
+    def _assemble(batch: pa.Table, ok, hook_cols) -> pa.Table:
+        """The routed batch: PASS mutations written back, then topic,
+        partition_key, partition_number, filter_result and filter_status
+        appended; parse_error rows get empty topic/pkey and code -1."""
+        topics, pkeys, pnums, codes, muts = hook_cols
         pass_mask = pc.and_(ok, pc.equal(codes, FILTER_PASS))
-        for k, repl in (muts or {}).items():
-            if k in _MUTABLE and k in batch.column_names:
-                idx = batch.column_names.index(k)
+        for k, repl in muts.items():
+            idx = batch.schema.get_field_index(k)
+            if k in _MUTABLE and idx >= 0:
                 batch = batch.set_column(
                     idx, k, pc.if_else(pass_mask, repl, batch[k]))
 
         # filter_status: code → name, parse_error override
-        names = pa.array([FILTER_NAMES.get(c, "error") for c in range(4)],
-                         pa.string())
         in_range = pc.and_(pc.greater_equal(codes, 0), pc.less(codes, 4))
-        status = pc.take(names, pc.if_else(in_range, codes,
-                                           pa.scalar(3, pa.int32())))
+        status = pc.take(_STATUS_NAMES, pc.if_else(in_range, codes, _ERROR))
         status = pc.if_else(ok, status, "parse_error")
 
         return (batch
                 .append_column("topic", pc.if_else(ok, topics, ""))
                 .append_column("partition_key", pc.if_else(ok, pkeys, ""))
                 .append_column("partition_number",
-                               pc.if_else(ok, pnums, pa.scalar(0, pa.int32())))
+                               pc.if_else(ok, pnums, _ZERO))
                 .append_column("filter_result",
-                               pc.if_else(ok, codes,
-                                          pa.scalar(-1, pa.int32())))
+                               pc.if_else(ok, codes, _PARSE_ERROR))
                 .append_column("filter_status", status))
