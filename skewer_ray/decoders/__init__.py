@@ -27,6 +27,13 @@ def register_custom_parser(name: str, fn) -> None:
     _CUSTOM[name] = fn
 
 
+def _get(d: dict, key: str, default):
+    """A user parser's field; a key set to None reads as absent (a null
+    time or string would otherwise fail every encoder downstream)."""
+    v = d.get(key)
+    return default if v is None else v
+
+
 def _custom_block(name: str):
     from ..schema import props_dumps
 
@@ -46,12 +53,13 @@ def _custom_block(name: str):
                 out.add_error(row, line, n)
                 continue
             props = d.get("props")
-            out.add(row, pri=d.get("pri", 0), fac=d.get("fac", 0),
-                    sev=d.get("sev", 0), ver=d.get("ver", 0),
-                    tr=d.get("tr", n), tg=d.get("tg", n),
-                    host=d.get("host", ""), app=d.get("app", ""),
-                    proc=d.get("proc", ""), msgid=d.get("msgid", ""),
-                    structured=d.get("structured", ""), msg=d.get("msg", ""),
+            out.add(row, pri=_get(d, "pri", 0), fac=_get(d, "fac", 0),
+                    sev=_get(d, "sev", 0), ver=_get(d, "ver", 0),
+                    tr=_get(d, "tr", n), tg=_get(d, "tg", n),
+                    host=_get(d, "host", ""), app=_get(d, "app", ""),
+                    proc=_get(d, "proc", ""), msgid=_get(d, "msgid", ""),
+                    structured=_get(d, "structured", ""),
+                    msg=_get(d, "msg", ""),
                     props=props_dumps(props) if props else "{}")
     return block
 

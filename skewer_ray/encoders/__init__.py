@@ -70,18 +70,17 @@ def _printable_ascii(s: str) -> bool:
     return _ASCII_RE.fullmatch(s) is not None
 
 
+# SD-NAME (RFC 5424 §6): printable ASCII 33-126 except '=', ']' and '"'
+_SD_NAME_RE = re.compile(r'[\x21\x23-\x3c\x3e-\x5c\x5e-\x7e]*')
+
+
 def _valid_sd_name(s: str) -> bool:
-    return all(33 <= ord(c) <= 126 and c not in '=]"' for c in s)
+    return _SD_NAME_RE.fullmatch(s) is not None
 
 
 def _escape_sd(s: str) -> str:
-    """encoders/rfc5424.go:84-110 — escape \\ " ]."""
-    out = []
-    for c in s:
-        if c in ('\\', '"', ']'):
-            out.append("\\")
-        out.append(c)
-    return "".join(out)
+    """encoders/rfc5424.go:84-110 — escape \\ " ] (backslash first)."""
+    return s.replace("\\", "\\\\").replace('"', '\\"').replace("]", "\\]")
 
 
 def _nilify(x: str) -> str:

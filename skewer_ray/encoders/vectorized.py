@@ -8,9 +8,9 @@ parity tests). ``encode_batch`` returns None for formats without a
 vectorized form — callers fall back to the row loop.
 
 Shapes:
-- timestamps: one ``strftime`` over the column (int64 UnixNano →
-  timestamp[s]; inputs are non-negative so truncating division matches
-  Python floor division);
+- timestamps: int64 UnixNano → floor seconds → timestamp[s], cast to
+  'YYYY-MM-DD HH:MM:SS' strings and cut or joined into RFC 3339, date
+  and Go Stamp forms with string kernels (no ``strftime``);
 - low-cardinality Python-only pieces (structured-data render, property
   JSON fragments, route sanitization) run once per DISTINCT value via
   dictionary-encode + take;
@@ -62,21 +62,37 @@ def _floor_sec(ns_col):
     return pc.subtract(trunc, pc.cast(adj, pa.int64()))
 
 
+_MONTHS = pa.array(["Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"])
+
+
+def _civil(ns_col) -> pa.Array:
+    """int64 UnixNano → 'YYYY-MM-DD HH:MM:SS' (UTC, whole seconds). The
+    string cast of timestamp[s] is ~10× cheaper than ``pc.strftime``,
+    and int64 nanoseconds always land in four-digit years (1677-2262)."""
+    return pc.cast(pc.cast(_floor_sec(ns_col), pa.timestamp("s")),
+                   pa.string())
+
+
 def ts_rfc3339(ns_col) -> pa.Array:
     """int64 UnixNano → 'YYYY-MM-DDTHH:MM:SSZ' (whole seconds)."""
-    ts = pc.cast(_floor_sec(ns_col), pa.timestamp("s"))
-    return pc.strftime(ts, format="%Y-%m-%dT%H:%M:%SZ")
+    civil = pc.replace_substring(_civil(ns_col), " ", "T", max_replacements=1)
+    return pc.binary_join_element_wise(civil, "Z", "")
 
 
 def ts_date(ns_col) -> pa.Array:
-    ts = pc.cast(_floor_sec(ns_col), pa.timestamp("s"))
-    return pc.strftime(ts, format="%Y-%m-%d")
+    return pc.utf8_slice_codeunits(_civil(ns_col), 0, 10)
 
 
 def _ts_stamp(ns_col) -> pa.Array:
     """Go time.Stamp 'Jan _2 15:04:05' (space-padded day = %e)."""
-    ts = pc.cast(_floor_sec(ns_col), pa.timestamp("s"))
-    return pc.strftime(ts, format="%b %e %H:%M:%S")
+    civil = _civil(ns_col)
+    month = pc.cast(pc.utf8_slice_codeunits(civil, 5, 7), pa.int8())
+    day = pc.replace_substring_regex(pc.utf8_slice_codeunits(civil, 8, 10),
+                                     "^0", " ")
+    return pc.binary_join_element_wise(
+        pc.take(_MONTHS, pc.subtract(month, 1)), day,
+        pc.utf8_slice_codeunits(civil, 11, 19), " ")
 
 
 def _nilify(col):

@@ -9,10 +9,14 @@ footer-count metrics artifact for the Prometheus counters gather
 (metrics/metrics.go:38-75).
 
 Scale notes:
-- reads prune to the six transcript columns;
+- reads prune to the six transcript columns and keep Ray's default block
+  layout: forcing more, smaller blocks than files cuts each task's input
+  below PARSE_BATCH, so every task ends in a short tail batch;
 - the whole per-record path (parse+enrich+route[+fanout]) is ONE fused
   task-pool map_batches with per-worker-cached stage state: one pass,
   no inter-stage object-store hops (see stages/fused.py);
+- the chain runs on PARSE_BATCH-row batches, sized to amortize its
+  fixed cost per call;
 - metrics come from the written files' parquet footers, not a groupby;
 - sink writes are hive-partitioned by (sink, status, route) so reruns
   can skip finished partitions (state/manifest.py).
@@ -27,46 +31,13 @@ from ..gen import ensure_transcripts
 from ..stages import EnrichStage, FanoutEncodeStage, ParseStage, RouterStage
 from ..stages.fused import fused_task_fn
 
-PARSE_BATCH = 8192  # mirrors store batch 5000..8k (conf/defaults.go:320)
+# Rows per fused-chain call. Each call pays ~34 ms of fixed cost (kernel
+# dispatch, per-family/per-sink splits, table assembly) against ~13 µs per
+# row (fitted on the benchmark input, 1 CPU), so larger batches amortize
+# it; 16384 keeps peak RSS within ~2% of 8192, while 32768 cost +5-7%.
+# The reference's store batch is 5000..8k (conf/defaults.go:320).
+PARSE_BATCH = 16384
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-
-
-_FOOTER_MEMO: dict[str, tuple[int, int]] = {}  # path -> (n_files, rows)
-
-
-def _suggest_blocks(path: str, blocks_per_cpu: int = 8):
-    """Block-count override for SMALL inputs on wide sessions.
-
-    Ray's default layout under-splits small inputs: with few large
-    blocks the streaming executor's per-operator memory budget throttles
-    map concurrency (measured: 64 blocks at 16 CPUs ran the fused map at
-    ~10/16 concurrency; ~8 blocks/CPU restored it and halved wall time —
-    BASELINE.md §4). At real scale the default target_max_block_size
-    already yields ≫ cores blocks, so the override only engages when the
-    input is a small directory (≤512 files) we can cheaply inspect."""
-    import os
-    try:
-        import ray
-        if not ray.is_initialized() or not os.path.isdir(path):
-            return None
-        cpus = int(ray.cluster_resources().get("CPU", 0))
-        if not cpus:
-            return None
-        if path in _FOOTER_MEMO:  # footer stats are immutable per dir
-            n_files, rows = _FOOTER_MEMO[path]
-        else:
-            files = [f for f in os.listdir(path) if f.endswith(".parquet")]
-            if not files or len(files) > 512:
-                return None
-            import pyarrow.parquet as pq
-            rows = sum(pq.ParquetFile(os.path.join(path, f))
-                       .metadata.num_rows for f in files)
-            n_files = len(files)
-            _FOOTER_MEMO[path] = (n_files, rows)
-        nb = min(max(64, blocks_per_cpu * cpus), max(1, rows // 1024))
-        return nb if nb > n_files else None
-    except Exception:
-        return None
 
 
 def read_transcripts(path_or_sfdir: str):
@@ -78,12 +49,7 @@ def read_transcripts(path_or_sfdir: str):
         path = ensure_transcripts(path_or_sfdir)
     else:
         path = path_or_sfdir
-    nb = _suggest_blocks(path)
-    return rd.read_parquet(
-        path,
-        columns=TRANSCRIPT_COLUMNS,
-        **({"override_num_blocks": nb} if nb else {}),
-    )
+    return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS)
 
 
 def _specs(config: PipelineConfig, hooks=None):

@@ -282,6 +282,41 @@ def test_custom_parser():
     assert not r["parse_ok"]
 
 
+def test_custom_parser_none_reads_as_absent():
+    """A user parser that sets a key to None gets the same records, and
+    the same four-stage output, as one that leaves the key out: the
+    time falls back to the row's ts and strings to "" (a null
+    time_reported would fail the whole batch in the json encoder)."""
+    import pyarrow.compute as pc
+
+    from skewer_ray.config import default_config
+    from skewer_ray.gen import generate_table
+    from skewer_ray.stages import (EnrichStage, FanoutEncodeStage,
+                                   ParseStage, RouterStage)
+
+    def with_none(line, ts):
+        return {"pri": 14, "tr": None, "host": None, "app": "a",
+                "msg": line[:40]}
+
+    def without(line, ts):
+        return {"pri": 14, "app": "a", "msg": line[:40]}
+
+    cfg = default_config()
+    tbl = generate_table(300)
+    outs = []
+    for name, fn in (("none_keys", with_none), ("absent_keys", without)):
+        b = ParseStage(single=DecoderConfig(format="custom",
+                                            custom_parser=name),
+                       custom_parsers={name: fn})(tbl)
+        b = EnrichStage(role_lookup=cfg.role_lookup,
+                        tool_lookup=cfg.tool_lookup)(b)
+        b = RouterStage(hooks=cfg.hooks)(b)
+        outs.append(FanoutEncodeStage(sinks=cfg.sinks)(b))
+    assert outs[0].equals(outs[1])
+    passing = pc.sum(pc.equal(outs[0]["status"], "passing")).as_py()
+    assert passing > 0
+
+
 def test_charset_wrapper():
     raw = "<34>Jan 15 05:10:02 hôte app: café".encode("latin-1")
     out = RecordBuilder()

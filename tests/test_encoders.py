@@ -55,6 +55,10 @@ def test_5424_validation():
     assert encode_rfc5424(rec(properties=p)) is None         # space in sid
     p = props_dumps({"s": {'a"b': "v"}})
     assert encode_rfc5424(rec(properties=p)) is None         # quote in name
+    p = props_dumps({"s\x7f": {"k": "v"}})
+    assert encode_rfc5424(rec(properties=p)) is None         # DEL in sid
+    p = props_dumps({"s": {"é": "v"}})
+    assert encode_rfc5424(rec(properties=p)) is None         # non-ASCII name
 
 
 def test_5424_param_name_truncated():
@@ -184,6 +188,13 @@ def test_vectorized_encoders_match_per_row():
         rec(time_reported=-1_500_000_000,
             time_generated=-1_500_000_000),
         rec(time_reported=-10**9, time_generated=-10**9),  # exact -1s
+        # the whole int64 range: 1677-09-21T00:12:43Z .. 2262-04-11T23:47:16Z
+        rec(time_reported=-2**63, time_generated=-2**63),
+        rec(time_reported=2**63 - 1, time_generated=2**63 - 1),
+        rec(time_reported=951782400 * 10**9,           # 2000-02-29 leap day
+            time_generated=951782400 * 10**9),
+        rec(time_reported=1769904000 * 10**9,          # 2026-02-01 (%e pad)
+            time_generated=1769904000 * 10**9),
         rec(procid="  99  ", hostname="   "),
         rec(priority=191, facility=23, severity=7),
         rec(facility=99, severity=9),                  # out-of-range names
@@ -195,6 +206,61 @@ def test_vectorized_encoders_match_per_row():
         got = encode_batch(name, tbl).to_pylist()
         assert got == want, f"{name}: {got} != {want}"
     assert encode_batch("gelf", tbl) is None  # no vectorized form
+
+
+def test_vectorized_timestamps_match_per_row():
+    """ts_rfc3339 / ts_date / _ts_stamp equal the per-row renderers over
+    every int64 UnixNano value; null stays null."""
+    import pyarrow as pa
+    from hypothesis import given, settings, strategies as st
+
+    from skewer_ray.encoders.vectorized import _ts_stamp, ts_date, ts_rfc3339
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1) | st.none(),
+                    min_size=1, max_size=20))
+    def check(values):
+        col = pa.array(values, pa.int64())
+        for fn, ref in ((ts_rfc3339, rfc3339_from_ns),
+                        (ts_date, lambda ns: rfc3339_from_ns(ns)[:10]),
+                        (_ts_stamp, stamp_from_ns)):
+            want = [None if v is None else ref(v) for v in values]
+            assert fn(col).to_pylist() == want, fn.__name__
+
+    check()
+
+
+def _valid_sd_name_per_char(s):
+    """The per-character SD-NAME predicate the regex replaced (oracle)."""
+    return all(33 <= ord(c) <= 126 and c not in '=]"' for c in s)
+
+
+def _escape_sd_per_char(s):
+    """The per-character SD escape loop the str.replace chain replaced."""
+    out = []
+    for c in s:
+        if c in ('\\', '"', ']'):
+            out.append("\\")
+        out.append(c)
+    return "".join(out)
+
+
+def test_sd_name_and_escape_match_per_char_oracle():
+    from hypothesis import given, settings, strategies as st
+
+    from skewer_ray.encoders import _escape_sd, _valid_sd_name
+
+    alphabet = st.sampled_from(['=', ']', '"', '\\', ' ', '\x7f', 'é',
+                                '\U0001f600']) \
+        | st.sampled_from([chr(c) for c in range(33, 127)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet, max_size=12))
+    def check(s):
+        assert _valid_sd_name(s) == _valid_sd_name_per_char(s)
+        assert _escape_sd(s) == _escape_sd_per_char(s)
+
+    check()
 
 
 def test_protowire_golden_bytes():

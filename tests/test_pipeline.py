@@ -81,6 +81,30 @@ def test_all_families_present(fanout_table):
     assert fams == set(range(len(FAMILY_NAMES)))
 
 
+def test_fanout_output_independent_of_batch_size():
+    """No stage carries state across the rows of a batch: the fused
+    chain over the same rows, cut into 1,000-, 8,192- and PARSE_BATCH-
+    row batches, gives the same fan-out rows once sorted. This is what
+    makes PARSE_BATCH safe to change."""
+    import pyarrow as pa
+
+    from skewer_ray.pipelines.flagship import PARSE_BATCH, _specs
+    from skewer_ray.stages.fused import FusedStage
+
+    chain = FusedStage(_specs(default_config()))
+    t = generate_table(6000)
+    keys = [("uid", "ascending"), ("sink", "ascending"),
+            ("status", "ascending")]
+    outs = []
+    for size in (1000, 8192, PARSE_BATCH):
+        parts = [chain(t.slice(off, size))
+                 for off in range(0, t.num_rows, size)]
+        outs.append(pa.concat_tables(parts).sort_by(keys))
+    assert set(outs[0]["sink"].to_pylist()) == {
+        "kafka", "file", "stderr", "_parse"}
+    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
+
+
 def test_skew_table_shape():
     t = generate_skew_table(2000, hot_fraction=0.5)
     cnt = collections.Counter(t["conv_id"].to_pylist())
