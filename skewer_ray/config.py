@@ -208,14 +208,19 @@ TOOL_CATEGORY = {
 }
 
 
-_TOPIC_RE = r"^[A-Za-z0-9._-]{1,249}$"
+# topic_name_is_valid as Arrow kernels: the charset regex, then the
+# 249 limit as a byte length (the regex only matches ASCII, so bytes =
+# characters); RE2 compiles a bounded {1,249} repetition slowly
+_TOPIC_RE = r"^[A-Za-z0-9._-]+$"
+_TOPIC_MAX = 249
 
 
 def finalize_topics(raw):
     """Vectorized topic validation + default fallback
     (javascript/vm.go:497-535 rules; mirrors HookSet.topic)."""
     import pyarrow.compute as pc
-    valid = pc.match_substring_regex(raw, _TOPIC_RE)
+    valid = pc.and_(pc.match_substring_regex(raw, _TOPIC_RE),
+                    pc.less_equal(pc.binary_length(raw), _TOPIC_MAX))
     return pc.if_else(valid, raw, DEFAULT_TOPIC)
 
 

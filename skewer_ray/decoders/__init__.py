@@ -7,7 +7,11 @@ config key, mirroring the reference's murmur3-keyed parser cache
 ``[[parser]]`` surface, decoders/decode.go:131-145 + javascript/vm.go)
 are Python callables registered by name with
 :func:`register_custom_parser`; they compile/SETUP once per process —
-worker actors get them via the module-level registry.
+worker processes get them via the module-level registry.
+
+``get_decoder_vec(cfg)`` returns the format's Arrow fast path, if any
+(``_NATIVE_VEC``): it decodes the rows of a plain shape on Arrow
+kernels and hands back the rest, which ParseStage decodes per row.
 """
 
 from __future__ import annotations
@@ -81,11 +85,21 @@ _NATIVE = {
     "ltsv_stub": ltsv.decode_stub_block,
 }
 
-# vectorized fast paths (same semantics; unexpressible rows fall back
-# to the per-row decoder inside ParseStage)
+# Arrow fast paths, one per built-in wire format except the binary ones
+# (collectd, protobuf) and macos: ``f(texts, ts_ns, cfg) -> (cols,
+# fallback_rows)`` (decoders/vec.py). Each takes only the rows whose
+# shape its kernels decode byte-identically; ParseStage sends the rest to
+# the per-row decoder above, which stays the parity oracle. ``custom``
+# user parsers always run per row.
 _NATIVE_VEC = {
     "rfc5424": rfc5424.decode_block_vec,
     "rfc3164": rfc3164.decode_block_vec,
+    "json": json_format.decode_json_block_vec,
+    "rsyslogjson": json_format.decode_rsyslog_block_vec,
+    "gelf": gelf.decode_block_vec,
+    "influxdb": influxdb.decode_block_vec,
+    "w3c": w3c.decode_block_vec,
+    "ltsv": ltsv.decode_block_vec,
 }
 
 

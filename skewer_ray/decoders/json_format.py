@@ -4,15 +4,26 @@ Semantics: decoders/json_format.go:13-98 + model/types.go:210-242
 (RegularSyslog.Internal). Unknown facility name → user(1)
 (model/types.go:189-194); unknown severity name → info(6)
 (model/types.go:199-206); Version forced to 1; priority recomputed.
+
+Deviation: an rsyslog ``pri`` outside int32, or a time outside int64
+nanoseconds, is a decode error; Go's conversions are undefined there.
+A time that is not a string, or ``properties`` that is not an object, is
+a decode error too (Go's unmarshal into the typed field fails).
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from . import vec
 from .base import RecordBuilder
 from .rfc3164 import _parse_rfc3339_ns
-from ..constants import facility_from_string, severity_from_string
+from ..constants import (F_USER, FACILITIES, S_INFO, SEVERITIES,
+                         facility_from_string, severity_from_string)
 from ..schema import props_dumps
 
 
@@ -27,6 +38,12 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+def _time_ns(v):
+    """RFC3339 string → UnixNano; None for anything else (a number or
+    object where Go's struct field is a string fails the unmarshal)."""
+    return _parse_rfc3339_ns(v) if isinstance(v, str) else None
+
+
 def decode_json_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
     try:
         d = json.loads(line)
@@ -36,11 +53,13 @@ def decode_json_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
         return out.add_error(row, line, ts_ns)
     fac = facility_from_string(str(d.get("facility", "")))
     sev = severity_from_string(str(d.get("severity", "")))
-    tr = _parse_rfc3339_ns(d["timereported"]) if d.get("timereported") else 0
-    tg = _parse_rfc3339_ns(d["timegenerated"]) if d.get("timegenerated") else 0
+    tr = _time_ns(d["timereported"]) if d.get("timereported") else 0
+    tg = _time_ns(d["timegenerated"]) if d.get("timegenerated") else 0
     if tr is None or tg is None:
         return out.add_error(row, line, ts_ns)
     props = d.get("properties") or {}
+    if not isinstance(props, dict):     # Go's map field fails to unmarshal
+        return out.add_error(row, line, ts_ns)
     cleaned = {}
     for dom, kv in props.items():
         if isinstance(kv, dict):
@@ -64,16 +83,18 @@ def decode_rsyslog_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
         pri = int(str(d.get("pri", "")))
     except ValueError:
         return out.add_error(row, line, ts_ns)
+    if not -(1 << 31) <= pri < 1 << 31:
+        return out.add_error(row, line, ts_ns)
 
     tr = tg = ts_ns
     v = d.get("timereported", "")
     if v and v != "-":
-        tr = _parse_rfc3339_ns(v)
+        tr = _time_ns(v)
         if tr is None:
             return out.add_error(row, line, ts_ns)
     v = d.get("timegenerated", "")
     if v and v != "-":
-        tg = _parse_rfc3339_ns(v)
+        tg = _time_ns(v)
         if tg is None:
             return out.add_error(row, line, ts_ns)
 
@@ -104,3 +125,98 @@ def decode_rsyslog_block(texts, ts_ns, out: RecordBuilder, cfg=None):
         if not line:
             continue
         decode_rsyslog_one(line, n, out, row)
+
+
+# ---------------------------------------------------------------------------
+# vectorized fast paths (decoders/vec.py): plain-text objects read with
+# one pyarrow.json.read_json per sub-batch; everything else, including
+# every row of a block Arrow rejects, goes to the per-row decoders above
+# ---------------------------------------------------------------------------
+
+_JSON_SCHEMA = pa.schema([(k, pa.string()) for k in (
+    "facility", "severity", "timereported", "timegenerated", "hostname",
+    "appname", "procid", "msgid", "message")])
+_RSYSLOG_SCHEMA = pa.schema([(k, pa.string()) for k in (
+    "msg", "timereported", "timegenerated", "hostname", "pri", "app-name",
+    "procid", "msgid", "structured-data")])
+_FACILITY_NAMES = pa.array(FACILITIES)
+_SEVERITY_NAMES = pa.array(SEVERITIES)
+
+
+def _name_code(col, names, default):
+    """facility/severity_from_string over a column."""
+    return pc.fill_null(pc.index_in(col, value_set=names), default)
+
+
+def decode_json_block_vec(texts, ts_ns, cfg=None):
+    """RegularSyslog fast path. Rows with ``properties`` fall back."""
+    n = len(texts)
+    rows, t = vec.json_objects(texts, _JSON_SCHEMA)
+    if t is None:
+        return None, np.arange(n)
+    bad = np.zeros(len(rows), dtype=bool)
+    if "properties" in t.column_names:
+        bad |= vec.mask(pc.is_valid(t["properties"]))
+    times = []
+    for name in ("timereported", "timegenerated"):
+        col = vec.blank(t[name])
+        ns, ok = vec.rfc3339_ns(col)
+        present = vec.mask(pc.not_equal(col, ""))
+        bad |= present & ~ok
+        times.append(np.where(present, ns, 0))
+    fac = _name_code(vec.blank(t["facility"]), _FACILITY_NAMES, F_USER)
+    sev = _name_code(vec.blank(t["severity"]), _SEVERITY_NAMES, S_INFO)
+    cols = vec.record_cols(
+        rows, ~bad,
+        priority=pc.add(pc.multiply(fac, 8), sev), facility=fac,
+        severity=sev, version=1, time_reported=times[0],
+        time_generated=times[1], hostname=vec.blank(t["hostname"]),
+        appname=vec.blank(t["appname"]), procid=vec.blank(t["procid"]),
+        msgid=vec.blank(t["msgid"]), message=vec.blank(t["message"]))
+    return cols, vec.fallback(n, cols["row_idx"])
+
+
+def decode_rsyslog_block_vec(texts, ts_ns, cfg=None):
+    """rsyslog-export fast path. ``pri`` must be 1-9 plain digits (the
+    int32 cast stays safe); the ``$!`` bag renders when it holds int64
+    or string values."""
+    n = len(texts)
+    rows, t = vec.json_objects(texts, _RSYSLOG_SCHEMA)
+    if t is None:
+        return None, np.arange(n)
+    pri_s = vec.blank(t["pri"])
+    bad = ~vec.matches(pri_s, r"^[0-9]{1,9}$")
+    pri = pc.cast(pc.if_else(pa.array(bad), "0", pri_s), pa.int32())
+    row_ns = ts_ns[rows]
+    times = []
+    for name in ("timereported", "timegenerated"):
+        col = vec.blank(t[name])
+        ns, ok = vec.rfc3339_ns(col)
+        own = vec.mask(pc.is_in(col, value_set=pa.array(["", "-"])))
+        bad |= ~own & ~ok
+        times.append(np.where(own, row_ns, ns))
+
+    def nil_trim(name):
+        col = vec.blank(t[name])
+        return pc.if_else(pc.equal(col, "-"), "", pc.utf8_trim(col, " "))
+
+    props = "{}"
+    bag = t["$!"] if "$!" in t.column_names else None
+    if bag is not None and pa.types.is_struct(bag.type):
+        pieces, odd = vec.extras_pieces(
+            {f.name: pc.struct_field(bag, f.name) for f in bag.type},
+            len(rows), strip=True)
+        bad |= odd
+        if pieces:
+            props = vec.props_json("rsyslog", pieces)
+    fac = pc.divide(pri, 8)
+    cols = vec.record_cols(
+        rows, ~bad,
+        priority=pri, facility=fac,
+        severity=pc.subtract(pri, pc.multiply(fac, 8)), version=1,
+        time_reported=times[0], time_generated=times[1],
+        hostname=nil_trim("hostname"), appname=nil_trim("app-name"),
+        procid=nil_trim("procid"), msgid=nil_trim("msgid"),
+        structured=nil_trim("structured-data"),
+        message=pc.utf8_trim(vec.blank(t["msg"]), " "), properties=props)
+    return cols, vec.fallback(n, cols["row_idx"])

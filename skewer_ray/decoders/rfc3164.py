@@ -49,11 +49,19 @@ _RFC3339_SHAPE = re.compile(
     r"^(\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2})(\.\d+)?(Z|[+-]\d{2}:\d{2})$")
 
 
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 @lru_cache(maxsize=1 << 17)
 def _parse_rfc3339_ns(s: str):
     """time.Parse(RFC3339Nano / RFC3339) → UnixNano, or None. Cached:
     distinct timestamp strings ≪ rows in real log streams (shared by
-    the rfc3164/rfc5424/json/ltsv decoders)."""
+    the rfc3164/rfc5424/json/ltsv decoders).
+
+    Deviation: a time outside the int64-nanosecond range
+    (1677-09-21T00:12:43.145224192Z … 2262-04-11T23:47:16.854775807Z)
+    is None, a decode error, where Go's ``UnixNano`` is undefined; the
+    record's int64 columns cannot hold it."""
     m = _RFC3339_SHAPE.match(s)
     if not m:
         return None
@@ -66,7 +74,8 @@ def _parse_rfc3339_ns(s: str):
     delta = dt - _EPOCH0
     # Go keeps at most 9 fraction digits (ns); extra digits are dropped
     ns = int((frac[1:] + "000000000")[:9]) if frac else 0
-    return (delta.days * 86400 + delta.seconds) * 1_000_000_000 + ns
+    ns += (delta.days * 86400 + delta.seconds) * 1_000_000_000
+    return ns if _I64_MIN <= ns <= _I64_MAX else None
 
 
 def parse_tag(tag: str):
@@ -201,12 +210,22 @@ _VEC_3164 = (
 _TAG_SPLIT = r"^(?P<app>[^\[]*)(?:\[(?P<proc>[^\]]*)\])?$"
 
 
+def _stamp_key_ns(key: str):
+    """"<stamp>|<year>" → UnixNano, or None (bad date)."""
+    stamp, year = key.rsplit("|", 1)
+    m = _STAMP_RE.match(stamp)
+    return _stamp_groups_ns(m, int(year)) if m else None
+
+
 def decode_block_vec(texts, ts_ns, cfg=None):
     """Arrow fast path; returns (cols-with-row_idx, fallback rows) like
     rfc5424.decode_block_vec."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
+
+    from . import vec
+    from ..encoders.vectorized import _render_unique
 
     n = len(texts)
     stripped = pc.utf8_trim_whitespace(texts)  # ladder strips first
@@ -215,63 +234,38 @@ def decode_block_vec(texts, ts_ns, cfg=None):
     if not ok.any():
         return None, list(range(n))
 
-    # timestamps: distinct (stamp, year) / distinct iso string
-    stamp = pc.struct_field(st, "stamp")
+    # timestamps: RFC3339 through the shared helper; a stamp once per
+    # distinct (stamp, year of the row's ts). The alternative that did
+    # not match extracts as "".
     iso = pc.struct_field(st, "iso")
+    is_iso = vec.mask(pc.not_equal(iso, ""))
+    iso_rows = np.nonzero(is_iso)[0]
     years = pc.year(pc.cast(pa.array(ts_ns // 1000, pa.int64()),
-                            pa.timestamp("us"))).to_numpy(
-        zero_copy_only=False)
-    key = pc.binary_join_element_wise(
-        pc.fill_null(stamp, ""), pc.fill_null(iso, ""),
-        pa.array([str(y) for y in years]), "|")
-    d = pc.dictionary_encode(key)
-    if isinstance(d, pa.ChunkedArray):
-        d = d.combine_chunks()
-    tr_of = []
-    for v in d.dictionary.to_pylist():
-        # key = stamp + "|" + iso + "|" + year; exactly one of stamp/iso
-        # is non-empty, and a stamp never starts with "|"
-        rem, y = v.rsplit("|", 1)
-        t = None
-        if rem.startswith("|"):
-            t = _parse_rfc3339_ns(rem[1:])
-        else:
-            m = _STAMP_RE.match(rem[:-1])
-            t = _stamp_groups_ns(m, int(y)) if m else None
-        tr_of.append(-1 if t is None else t)
-    idx = pc.fill_null(d.indices, 0).to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    tr = np.asarray(tr_of, dtype=np.int64)[idx]
-    good = ok & (tr >= 0)
+                            pa.timestamp("us")))
+    stamp_ns = _render_unique(
+        pc.binary_join_element_wise(pc.struct_field(st, "stamp"),
+                                    pc.cast(years, pa.string()), "|"),
+        _stamp_key_ns, pa.int64())
+    tr = np.array(pc.fill_null(stamp_ns, 0))
+    good = vec.mask(pc.is_valid(stamp_ns))
+    tr[iso_rows], good[iso_rows] = vec.rfc3339_ns(
+        pc.take(iso, pa.array(iso_rows)))
+    good &= ok
     fallback = np.nonzero(~good)[0]
     if not good.any():
         return None, list(fallback)
 
-    gmask = pa.array(good)
-
     def f(name):
-        return pc.filter(pc.struct_field(st, name), gmask)
+        return pc.struct_field(st, name)
 
     tagm = pc.extract_regex(f("tag"), _TAG_SPLIT)
     pri = pc.cast(f("pri"), pa.int32())
-    fac = pc.cast(pc.divide(pri, 8), pa.int32())
-    ng = int(good.sum())
-    cols = {
-        "row_idx": np.nonzero(good)[0],
-        "parse_ok": pa.array([True] * ng, pa.bool_()),
-        "priority": pri,
-        "facility": fac,
-        "severity": pc.cast(pc.subtract(pri, pc.multiply(fac, 8)),
-                            pa.int32()),
-        "version": pa.array([0] * ng, pa.int32()),
-        "time_reported": pa.array(tr[good], pa.int64()),
-        "time_generated": pa.array(ts_ns[good], pa.int64()),
-        "hostname": f("host"),
-        "appname": pc.fill_null(pc.struct_field(tagm, "app"), ""),
-        "procid": pc.fill_null(pc.struct_field(tagm, "proc"), ""),
-        "msgid": pa.array([""] * ng, pa.string()),
-        "structured": pa.array([""] * ng, pa.string()),
-        "message": f("msg"),
-    }
-    cols["properties"] = pa.array(["{}"] * ng, pa.string())
+    fac = pc.divide(pri, 8)
+    cols = vec.record_cols(
+        np.arange(n), good, priority=pri, facility=fac,
+        severity=pc.subtract(pri, pc.multiply(fac, 8)), time_reported=tr,
+        time_generated=ts_ns, hostname=f("host"),
+        appname=pc.fill_null(pc.struct_field(tagm, "app"), ""),
+        procid=pc.fill_null(pc.struct_field(tagm, "proc"), ""),
+        message=f("msg"))
     return cols, list(fallback)

@@ -20,6 +20,7 @@ import re
 
 from .base import RecordBuilder
 from .rfc3164 import _parse_rfc3339_ns
+from ..encoders.vectorized import _render_unique
 from ..schema import props_dumps
 
 # Grammar parity (RFC5424.g4:4,12-13): PRI/VERSION are DIGIT+ (Atoi —
@@ -181,6 +182,8 @@ def decode_block_vec(texts, ts_ns, cfg=None):
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from . import vec
+
     n = len(texts)
     st = pc.extract_regex(texts, _HEAD_VEC)
     head_ok = pc.is_valid(st).to_numpy(zero_copy_only=False)
@@ -194,32 +197,16 @@ def decode_block_vec(texts, ts_ns, cfg=None):
     sd_ok = (pc.is_valid(sd_m).to_numpy(zero_copy_only=False) & head_ok
              & ~nil_ok)
 
-    # timestamps: '-' → the row's ts_ns; else parse per DISTINCT value
+    # timestamps: '-' → the row's ts_ns; else the shared RFC3339 helper
     ts_f = pc.struct_field(st, "ts")
-    d = pc.dictionary_encode(ts_f)
-    if isinstance(d, pa.ChunkedArray):
-        d = d.combine_chunks()
-    parsed = []
-    for v in d.dictionary.to_pylist():
-        if v == "-":
-            parsed.append(-1)          # sentinel: use row ts_ns
-        else:
-            p = _parse_rfc3339_ns(v)
-            parsed.append(-2 if p is None else p)
-    tr_by_idx = np.asarray(parsed, dtype=np.int64)
-    idx = pc.fill_null(d.indices, 0).to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    tr = np.where(head_ok, tr_by_idx[idx], -2)
-    ts_bad = tr == -2
+    own = vec.mask(pc.equal(ts_f, "-"))
+    parsed, ts_ok = vec.rfc3339_ns(ts_f)
+    tr = np.where(own, ts_ns, parsed)
+    ts_bad = ~own & ~ts_ok
 
     # SD: render per DISTINCT string; un-renderable → fallback
-    sd_col = pc.struct_field(sd_m, "sd")
-    dsd = pc.dictionary_encode(sd_col)
-    if isinstance(dsd, pa.ChunkedArray):
-        dsd = dsd.combine_chunks()
-    sd_json = [None if v is None else _render_sd_cached(v)
-               for v in dsd.dictionary.to_pylist()]
-    sd_json_arr = pc.take(pa.array(sd_json, pa.string()), dsd.indices)
+    sd_json_arr = _render_unique(pc.struct_field(sd_m, "sd"),
+                                 _render_sd_cached)
     sd_bad = sd_ok & ~pc.is_valid(sd_json_arr).to_numpy(zero_copy_only=False)
 
     good = (nil_ok | sd_ok) & ~ts_bad & ~sd_bad
@@ -227,39 +214,22 @@ def decode_block_vec(texts, ts_ns, cfg=None):
     if not good.any():
         return None, list(fallback)
 
-    gmask = pa.array(good)
-
     def f(name):
-        return pc.filter(pc.struct_field(st, name), gmask)
+        return pc.struct_field(st, name)
 
     def nil(col):
         return pc.if_else(pc.equal(col, "-"), "", col)
 
     pri = pc.cast(f("pri"), pa.int32())
-    msg = pc.if_else(
-        pa.array(nil_ok[good]),
-        pc.filter(pc.struct_field(nil_m, "msg"), gmask),
-        pc.filter(pc.struct_field(sd_m, "msg"), gmask))
-    msg = pc.fill_null(msg, "")
-    props = pc.fill_null(pc.filter(sd_json_arr, gmask), "{}")
-    tr_g = tr[good]
-    tr_g = np.where(tr_g == -1, ts_ns[good], tr_g)
-    cols = {
-        "row_idx": np.nonzero(good)[0],
-        "parse_ok": pa.array([True] * int(good.sum()), pa.bool_()),
-        "priority": pri,
-        "facility": pc.cast(pc.divide(pri, 8), pa.int32()),
-        "severity": pc.cast(pc.subtract(pri, pc.multiply(
-            pc.cast(pc.divide(pri, 8), pa.int32()), 8)), pa.int32()),
-        "version": pc.cast(f("ver"), pa.int32()),
-        "time_reported": pa.array(tr_g, pa.int64()),
-        "time_generated": pa.array(ts_ns[good], pa.int64()),
-        "hostname": nil(f("host")),
-        "appname": nil(f("app")),
-        "procid": nil(f("proc")),
-        "msgid": nil(f("msgid")),
-        "structured": pa.array([""] * int(good.sum()), pa.string()),
-        "message": msg,
-        "properties": props,
-    }
+    fac = pc.divide(pri, 8)
+    msg = pc.if_else(pa.array(nil_ok), pc.struct_field(nil_m, "msg"),
+                     pc.struct_field(sd_m, "msg"))
+    cols = vec.record_cols(
+        np.arange(n), good, priority=pri, facility=fac,
+        severity=pc.subtract(pri, pc.multiply(fac, 8)),
+        version=pc.cast(f("ver"), pa.int32()), time_reported=tr,
+        time_generated=ts_ns, hostname=nil(f("host")),
+        appname=nil(f("app")), procid=nil(f("proc")),
+        msgid=nil(f("msgid")), message=pc.fill_null(msg, ""),
+        properties=pc.fill_null(sd_json_arr, "{}"))
     return cols, list(fallback)

@@ -226,4 +226,6 @@ class FanoutEncodeStage:
         parts = [p for p in parts if p.num_rows]
         if not parts:
             return self._with_consts(batch.slice(0, 0), "_", "_", "-", None)
-        return pa.concat_tables(parts)
+        # one contiguous chunk per column: the partitioned write gets one
+        # record batch, not one per part
+        return pa.concat_tables(parts).combine_chunks()

@@ -8,6 +8,12 @@ config). 1→N decoders (W3C multi-line payloads) expand rows with
 ``sub_idx``; the deterministic ``uid = conv_id:turn_idx:sub_idx`` replaces
 the random ULID (utils/ulid.go:16-177).
 
+A family whose format has an Arrow fast path (``decoders.get_decoder_vec``)
+decodes the rows of a plain shape on Arrow kernels and the rest per row;
+its records still come out in source-row order, so the output does not
+depend on which rows took the fast path. The output is families in
+ascending order, one contiguous table per batch.
+
 A callable class so decoder construction (registry lookup,
 custom-parser compilation) happens once per worker, not once per batch:
 the fused task-pool chain (stages/fused.py) builds it once per worker
@@ -23,6 +29,9 @@ import pyarrow.compute as pc
 from ..decoders import DecoderConfig, RecordBuilder, get_decoder
 from ..gen import N_FAMILIES
 from ..schema import RECORD_SCHEMA
+
+# the record value columns a decoder fills (RecordBuilder's fields)
+_VALUE_COLS = RECORD_SCHEMA.names[RECORD_SCHEMA.get_field_index("parse_ok"):]
 
 
 def family_array(conv_ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -65,47 +74,65 @@ class ParseStage:
             fam = np.zeros(batch.num_rows, dtype=np.int64)
         else:
             fam = family_array(batch["conv_id"])
-        ts_us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        ts_ns_all = ts_us * 1000
+        ts_ns_all = pc.cast(batch["ts"], pa.int64()).to_numpy(
+            zero_copy_only=False) * 1000
+        text = batch["text"]
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
 
-        out_parts = []
+        # every part (fast or per-row) as (source rows, sub_idx, record
+        # columns); one concatenation and one _finish for the batch
+        parts = []
         for f in np.unique(fam):
             dec, cfg, vec = self.decoders.get(int(f)) or self.default_decoder
             rows = np.nonzero(fam == f)[0]
-            sub_ns = ts_ns_all[rows]
-            fb_local = None
+            fam_parts = []
             if vec is not None:
-                sub_arr = pc.take(batch["text"], pa.array(rows))
-                if isinstance(sub_arr, pa.ChunkedArray):
-                    sub_arr = sub_arr.combine_chunks()
-                cols, fb_local = vec(sub_arr, sub_ns, cfg)
+                cols, fb = vec(text.take(pa.array(rows)), ts_ns_all[rows], cfg)
                 if cols is not None:
                     src = rows[cols.pop("row_idx")]
-                    sub = pa.array(np.zeros(len(src), dtype=np.int32))
-                    out_parts.append(self._finish(batch, pa.array(src),
-                                                  sub, cols))
-                rows = rows[np.asarray(fb_local, dtype=np.int64)] \
-                    if fb_local else rows[:0]
-                sub_ns = ts_ns_all[rows]
-            if len(rows) == 0:
-                continue
-            sub_texts = pc.take(batch["text"],
-                                pa.array(rows)).to_pylist()
-            b = RecordBuilder()
-            dec(sub_texts, sub_ns.tolist(), b, cfg)
-            if not len(b):
-                continue
-            src = rows[np.asarray(b.row_idx, dtype=np.int64)]
-            out_parts.append(self._assemble(batch, src, b))
-        if not out_parts:
+                    fam_parts.append(
+                        (src, np.zeros(len(src), dtype=np.int32), cols))
+                rows = rows[np.asarray(fb, dtype=np.int64)]
+            if len(rows):
+                b = RecordBuilder()
+                dec(text.take(pa.array(rows)).to_pylist(),
+                    ts_ns_all[rows].tolist(), b, cfg)
+                if len(b):
+                    fam_parts.append((rows[np.asarray(b.row_idx, np.int64)],
+                                      np.asarray(b.sub_idx, np.int32),
+                                      self._builder_cols(b)))
+            parts.extend(self._in_source_order(fam_parts))
+        if not parts:
             return RECORD_SCHEMA.empty_table()
-        return pa.concat_tables(out_parts)
+        return self._finish(
+            batch, pa.array(np.concatenate([p[0] for p in parts])),
+            pa.array(np.concatenate([p[1] for p in parts])),
+            {name: pa.concat_arrays([p[2][name] for p in parts])
+             for name in _VALUE_COLS})
+
+    @staticmethod
+    def _in_source_order(fam_parts: list) -> list:
+        """One family's fast and per-row parts merged into source-row
+        order (sub_idx order within a row), the order a per-row decode
+        of the family gives, whichever rows took the fast path."""
+        if len(fam_parts) < 2:
+            return fam_parts
+        src = np.concatenate([p[0] for p in fam_parts])
+        order = np.argsort(src, kind="stable")
+        if (np.diff(order) > 0).all():
+            return fam_parts
+        take = pa.array(order)
+        return [(src[order],
+                 np.concatenate([p[1] for p in fam_parts])[order],
+                 {name: pa.concat_arrays([p[2][name] for p in fam_parts])
+                  .take(take) for name in _VALUE_COLS})]
 
     @staticmethod
     def _finish(batch: pa.Table, take: pa.Array, sub: pa.Array,
                 rec_cols: dict) -> pa.Table:
         """Record table from (source-row take indices, sub_idx array,
-        the 14 record value columns)."""
+        the 14 record value columns): one take per source column."""
         conv = pc.take(batch["conv_id"], take)
         turn = pc.take(batch["turn_idx"], take)
         uid = pc.binary_join_element_wise(
@@ -131,25 +158,9 @@ class ParseStage:
         for name in batch.column_names:
             if name not in known:
                 out = out.append_column(name, pc.take(batch[name], take))
-        return out
+        return out.combine_chunks()
 
     @staticmethod
-    def _assemble(batch: pa.Table, src: np.ndarray, b: RecordBuilder) -> pa.Table:
-        return ParseStage._finish(
-            batch, pa.array(src), pa.array(b.sub_idx, pa.int32()),
-            {
-                "parse_ok": pa.array(b.parse_ok, pa.bool_()),
-                "priority": pa.array(b.priority, pa.int32()),
-                "facility": pa.array(b.facility, pa.int32()),
-                "severity": pa.array(b.severity, pa.int32()),
-                "version": pa.array(b.version, pa.int32()),
-                "time_reported": pa.array(b.time_reported, pa.int64()),
-                "time_generated": pa.array(b.time_generated, pa.int64()),
-                "hostname": pa.array(b.hostname, pa.string()),
-                "appname": pa.array(b.appname, pa.string()),
-                "procid": pa.array(b.procid, pa.string()),
-                "msgid": pa.array(b.msgid, pa.string()),
-                "structured": pa.array(b.structured, pa.string()),
-                "message": pa.array(b.message, pa.string()),
-                "properties": pa.array(b.properties, pa.string()),
-            })
+    def _builder_cols(b: RecordBuilder) -> dict:
+        return {name: pa.array(getattr(b, name), RECORD_SCHEMA.field(name).type)
+                for name in _VALUE_COLS}

@@ -1,8 +1,10 @@
 import sys
+from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
+# this checkout's package, wherever the checkout is
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 @pytest.fixture(scope="session")

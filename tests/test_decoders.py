@@ -432,6 +432,8 @@ def test_rfc5424_vec_parity_with_per_row():
     lines = [t for t, f in zip(tbl["text"].to_pylist(), fams)
              if f in (0, 1)]
     lines += [c[0] for c in EDGE_5424]
+    # a valid time of -1 ns (once read as "use the row's ts")
+    lines.append("<34>1 1969-12-31T23:59:59.999999999Z h a p m - x")
     ns = np.array([NOW_S * 10**9] * len(lines), dtype=np.int64)
 
     ref = RecordBuilder()
@@ -530,3 +532,401 @@ def test_macos_log_stream_decode():
     assert r2["time_reported"] == TS and r2["parse_ok"]
     r3 = one("macos", "not json")
     assert not r3["parse_ok"]
+
+
+# --- out-of-range values are decode errors ----------------------------------
+
+def _transcript(lines):
+    import pyarrow as pa
+    from skewer_ray.schema import TRANSCRIPT_SCHEMA
+    n = len(lines)
+    return pa.table({"conv_id": ["conv-00000000"] * n,
+                     "turn_idx": list(range(n)), "role": ["user"] * n,
+                     "text": lines, "tool": [""] * n,
+                     "ts": [TS // 1000] * n}, schema=TRANSCRIPT_SCHEMA)
+
+
+_GOOD = {
+    "rfc5424": '<34>1 2026-01-15T05:10:02Z h a p m - ok',
+    "ltsv": "time:2026-01-15T05:10:02Z\thost:h",
+    "json": '{"timereported":"2026-01-15T05:10:02Z","message":"ok"}',
+    "rsyslogjson": '{"msg":"ok","pri":"13"}',
+    "gelf": '{"host":"h","short_message":"ok","level":6,"timestamp":1.5}',
+    "influxdb": "cpu v=1 1768435200000000000",
+}
+
+
+@pytest.mark.parametrize("fmt,line", [
+    ("rfc5424", "<34>1 9999-12-31T23:59:59Z h a p m - x"),
+    ("rfc5424", "<34>1 0001-01-01T00:00:00Z h a p m - x"),
+    ("rfc5424", "<34>1 2262-04-11T23:47:17Z h a p m - x"),
+    ("ltsv", "time:9999-12-31T23:59:59Z\thost:h"),
+    ("ltsv", "time:0001-01-01T00:00:00Z\thost:h"),
+    ("json", '{"timereported":"9999-12-31T23:59:59Z","message":"x"}'),
+    ("rsyslogjson", '{"msg":"x","pri":"13",'
+                    '"timereported":"9999-12-31T23:59:59Z"}'),
+    ("rsyslogjson", '{"msg":"x","pri":"13",'
+                    '"timegenerated":"0001-01-01T00:00:00Z"}'),
+    ("rsyslogjson", '{"msg":"x","pri":"99999999999"}'),
+    ("gelf", '{"host":"h","short_message":"x","level":Infinity}'),
+    ("gelf", '{"host":"h","short_message":"x","timestamp":NaN}'),
+    ("gelf", '{"host":"h","short_message":"x","timestamp":1e300}'),
+    ("gelf", '{"host":"h","short_message":"x","level":1e12}'),
+    ("gelf", '{"host":"h","short_message":"x","level":2147483640,'
+             '"facility":"user"}'),
+    ("influxdb", "cpu v=1 99999999999999999999999"),
+    ("influxdb", "cpu v=1 9223372036854775808"),
+])
+def test_out_of_range_values_are_decode_errors(fmt, line):
+    """A value the record's int32/int64 columns cannot hold is a decode
+    error (raw line kept), through the vectorized path and per row,
+    instead of an exception that fails the batch."""
+    from skewer_ray.stages.parse import ParseStage
+    stage = ParseStage(single=DecoderConfig(format=fmt))
+    out = stage(_transcript([_GOOD[fmt], line, _GOOD[fmt]]))
+    assert out["parse_ok"].to_pylist() == [True, False, True]
+    bad = out.slice(1, 1).to_pylist()[0]
+    assert bad["message"] == line
+    assert bad["time_reported"] == bad["time_generated"] == TS
+
+
+def test_rfc3164_out_of_range_time_takes_the_ladder():
+    """p3164 never fails: an RFC3339 time the record cannot hold takes
+    the ladder's bad-time branch (message-only, now() as the time)."""
+    from skewer_ray.stages.parse import ParseStage
+    stage = ParseStage(single=DecoderConfig(format="rfc3164"))
+    out = stage(_transcript(["<34>9999-12-31T23:59:59Z host app: m"]))
+    r = out.to_pylist()[0]
+    assert r["parse_ok"] and r["time_reported"] == TS
+    assert r["message"] == "9999-12-31T23:59:59Z host app: m"
+
+
+# --- vectorized fast paths: parity with the per-row decoders ----------------
+
+_FIELDS = ("parse_ok", "priority", "facility", "severity", "version",
+           "time_reported", "time_generated", "hostname", "appname",
+           "procid", "msgid", "structured", "message", "properties")
+
+
+def _records_by_row(cfg, lines, ns, split):
+    """{row: [record tuple per sub-message]}: per row only, or (split)
+    the format's fast path plus the per-row decoder on its fallback."""
+    import numpy as np
+    import pyarrow as pa
+    from skewer_ray.decoders import get_decoder_vec
+
+    dec = get_decoder(cfg)
+    got: dict = {}
+
+    def per_row(rows):
+        b = RecordBuilder()
+        dec([lines[i] for i in rows], [int(ns[i]) for i in rows], b, cfg)
+        for k, local in enumerate(b.row_idx):
+            got.setdefault(rows[local], []).append(
+                (b.sub_idx[k],) + tuple(getattr(b, f)[k] for f in _FIELDS))
+
+    if not split:
+        per_row(list(range(len(lines))))
+        return got, len(lines)
+    cols, fb = get_decoder_vec(cfg)(pa.array(lines, pa.string()),
+                                    np.asarray(ns, dtype=np.int64), cfg)
+    if cols is not None:
+        for k, r in enumerate(cols.pop("row_idx")):
+            got.setdefault(int(r), []).append(
+                (0,) + tuple(cols[f][k].as_py() for f in _FIELDS))
+    per_row([int(i) for i in fb])
+    return got, len(fb)
+
+
+def _assert_vec_parity(cfg, lines):
+    ns = [TS + 7 * i for i in range(len(lines))]
+    want, _ = _records_by_row(cfg, lines, ns, split=False)
+    got, n_fallback = _records_by_row(cfg, lines, ns, split=True)
+    assert got == want
+    return n_fallback
+
+
+def _generated(fam: int, i: int, t: int) -> str:
+    from skewer_ray.gen import text_for
+    return text_for(fam + 12 * i, t)
+
+
+_VALUES = ['1', '-0', '1.5', '1e5', 'true', 'false', '"s"', '" pad "',
+           '{"n":1}', '[1]', 'null', 'NaN', 'Infinity', 'Inf', '-NaN',
+           '"x\\"y"', '"café"', '"\\u00e9"', '99999999999999999999']
+
+
+def _json_mutations(keys, extra_keys):
+    """Strategy factory of line -> line edits for a JSON family: a
+    known key's value replaced, a key added, keys reordered, and text
+    edits."""
+    def loads(line):
+        try:
+            d = json.loads(line)
+        except ValueError:
+            return None
+        return d if isinstance(d, dict) else None
+
+    def sub_value(key, val):
+        def f(line):
+            d = loads(line)
+            if d is None or key not in d:
+                return line
+            return line.replace(json.dumps(d[key], separators=(",", ":")),
+                                val, 1)
+        return f
+
+    def add_key(key, val):
+        return lambda line: (line[:-1] + f',"{key}":{val}}}'
+                             if line.endswith("}") and len(line) > 2
+                             else line)
+
+    def reorder(seed):
+        def f(line):
+            d = loads(line)
+            if d is None:
+                return line
+            items = sorted(d.items(), key=lambda kv: hash((seed, kv[0])))
+            return json.dumps(dict(items), separators=(",", ":"),
+                              ensure_ascii=False)
+        return f
+
+    def strategy(st):
+        vals = st.sampled_from(_VALUES)
+        return st.one_of(
+            st.builds(sub_value, st.sampled_from(keys), vals),
+            st.builds(add_key, st.sampled_from(extra_keys), vals),
+            st.builds(reorder, st.integers(0, 99)),
+            st.sampled_from([
+                lambda line: line + " x",                 # trailing garbage
+                lambda line: line + line,                 # two objects
+                lambda line: " " + line,
+                lambda line: line.replace("h", "é", 1),
+                lambda line: line.replace("o", "\\u006f", 1),
+            ]))
+    return strategy
+
+
+def _text_mutations(st, extra):
+    """Generic text edits plus the format's own ``extra`` edits."""
+    def insert(s, at):
+        return lambda line: line[:at % (len(line) + 1)] + s \
+            + line[at % (len(line) + 1):]
+
+    return st.one_of(
+        st.builds(insert, st.sampled_from(
+            [" ", "  ", "\t", "\\", '"', "é", "-", ":", "=", ",", "#",
+             "\n"]), st.integers(0, 200)),
+        st.sampled_from(extra))
+
+
+def _parity_property(fam, cfg, mutations, edges, max_examples=150):
+    """decode_block_vec + per-row fallback == decode_block over the
+    ``edges`` lines and over blocks of generated lines of family ``fam``
+    edited by ``mutations``; every block is checked whole and line by
+    line (a JSON type clash sends a whole block per row)."""
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    def check(lines):
+        _assert_vec_parity(cfg, lines)
+        for one in lines:
+            _assert_vec_parity(cfg, [one])
+
+    check(edges + [_generated(fam, 1, 2)])
+    line = st.builds(
+        lambda i, t, muts: _apply(_generated(fam, i, t), muts),
+        st.integers(0, 300), st.integers(0, 30),
+        st.lists(mutations(st), max_size=3))
+
+    @settings(max_examples=max_examples, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(line, min_size=1, max_size=8))
+    def prop(lines):
+        check(lines)
+
+    prop()
+
+
+def _apply(line, muts):
+    for m in muts:
+        line = m(line)
+    return line
+
+
+def test_json_vec_parity_with_per_row():
+    edges = [
+        '{}', '{"facility":"nope","severity":"crit"}', '{"hostname":null}',
+        '{"hostname":5}', '{"hostname":"a","hostname":"b"}', '[1]',
+        '{"message":"café"}', '{"message":"a\\"b"}', '{"x":Inf}',
+        '{"x":NaN}', '{"a":"x"}{"a":"y"}', '{"a":"x"} y',
+        '{"properties":{"d":{"k":"v"}}}', '{"properties":1}',
+        '{"timereported":""}', '{"timereported":1}',
+        '{"timereported":"2026-02-30T00:00:00Z"}',
+        '{"timereported":"2026-12-31T23:59:60Z"}',
+        '{"timereported":"2026-01-15T05:10:02.123456789+01:00"}',
+        '{"timegenerated":"1969-12-31T23:59:59Z"}',
+        '{"timereported":"2262-04-11T23:47:16Z"}',
+        '{"timereported":"2262-04-11T23:47:17Z"}',
+        '{"zz":[1,2],"message":"m"}', '{"message":"x", "hostname" : "y" }']
+    _parity_property(5, DecoderConfig(format="json"), _json_mutations(
+        ["hostname", "message", "appname", "facility", "severity",
+         "timereported", "timegenerated"],
+        ["zz", "properties", "hostname", " k"]), edges)
+
+
+def test_rsyslogjson_vec_parity_with_per_row():
+    edges = [
+        '{"msg":"x","pri":"abc"}', '{"msg":"x","pri":"99999999999"}',
+        '{"pri":" 22"}', '{"pri":"-3"}', '{"pri":"+3"}', '{"pri":"007"}',
+        '{"pri":"1","$!":{"f":1.5}}', '{"pri":"1","$!":{"b":true}}',
+        '{"pri":"1","$!":{"n":{"x":"y"}}}', '{"pri":"1","$!":"str"}',
+        '{"pri":"1","$!":{" a":"x","a":"y"}}', '{"pri":"1","$!":{}}',
+        '{"pri":"1","$!":{"z":" 1 ","a":2,"m":"q"}}',
+        '{"pri":"1","timereported":"-","timegenerated":""}',
+        '{"pri":"1","hostname":" - ","msgid":"-","msg":"  m  "}',
+        '{"pri":"1","timereported":"9999-12-31T23:59:59Z"}']
+    _parity_property(6, DecoderConfig(format="rsyslogjson"), _json_mutations(
+        ["msg", "hostname", "pri", "timereported", "app-name",
+         "structured-data", "$!"],
+        ["$!", "zz", "msg", "msgid"]), edges)
+
+
+def test_gelf_vec_parity_with_per_row():
+    edges = [
+        '{"host":"h","short_message":"s","facility":"cron"}',
+        '{"host":5}', '{"level":"6"}', '{"level":true}',
+        '{"level":Infinity}', '{"timestamp":NaN}', '{"timestamp":1e300}',
+        '{"level":1e12}', '{"level":6.7,"timestamp":1.5}', '{"level":-0.5}',
+        '{"level":2147483640,"facility":"user"}',
+        '{"level":2147483640,"facility":"kern"}', '{"level":-2147483649}',
+        '{"timestamp":9223372036.854775}', '{"timestamp":9223372037}',
+        '{"timestamp":1768435200.123456789}', '{"level":1e400}',
+        '{"full_message":"f","_a":1,"_b":"x","_z":"q"}',
+        '{"full_message":"","_c":1.5}', '{"_n":{"x":1}}', '{"_t":true}',
+        '{"_big":99999999999999999999}', '{"zz":1.5,"_a":"x"}']
+    _parity_property(7, DecoderConfig(format="gelf"), _json_mutations(
+        ["host", "short_message", "level", "timestamp", "facility",
+         "_appname"],
+        ["_x", "_a", "full_message", "zz", "level", "facility"]), edges)
+
+
+def test_influxdb_vec_parity_with_per_row():
+    extra = [
+        lambda line: line.replace("eu", "e\\,u", 1),
+        lambda line: line.replace("count=", 'name="a b",count=', 1),
+        lambda line: line.rsplit(" ", 1)[0],                  # no time
+        lambda line: line.rsplit(" ", 1)[0] + " 99999999999999999999",
+        lambda line: line.rsplit(" ", 1)[0] + " 9999999999999999999",
+        lambda line: line.rsplit(" ", 1)[0] + " 9223372036854775807",
+        lambda line: line.rsplit(" ", 1)[0] + " -9223372036854775808",
+        lambda line: line.rsplit(" ", 1)[0] + " 007",
+        lambda line: line.rsplit(" ", 1)[0] + " -0",
+        lambda line: line.rsplit(" ", 1)[0] + " +5",
+        lambda line: line.replace("region=eu", "host=b,region=", 1),
+        lambda line: line.replace("count=", "up=t,f=FALSE,u=3u,x=+-1i,"
+                                  "n=nan,e=1e400,z=,count=", 1),
+        lambda line: line.replace("cpu", "", 1),
+        lambda line: line + " 1",
+    ]
+    edges = [
+        "cpu", "cpu value=1.5", "cpu v=1 9223372036854775807",
+        "cpu v=1 9223372036854775808", "cpu v=1 -9223372036854775808",
+        "cpu v=1 -9223372036854775809", "cpu v=1 -0", "cpu v=1 007",
+        "cpu,host=a,host=b v=1,v=2i", "cpu,=x v=1", "cpu,k= v=1",
+        ",k=v v=1", "cpu v=", "cpu v=nan", "cpu v=1e400", "cpu v=+-5i",
+        "cpu v=1_0.5", "cpu  v=1", " cpu v=1", "cpu v=1 ",
+        "cpu v=t,w=FALSE,x=5u", "cpu\\,x v=1", 'cpu v="a b"',
+        "cpu v=1 1 2", "cpu v=1 abc", "m,b=2,a=1 z=1,a=2", "cpu v=0.1"]
+    _parity_property(8, DecoderConfig(format="influxdb"),
+                     lambda st: _text_mutations(st, extra), edges)
+
+
+def test_ltsv_vec_parity_with_per_row():
+    extra = [
+        lambda line: line + "\t\tk:v",                        # empty field
+        lambda line: line + "\tnocolon",
+        lambda line: line + "\thost:again\tz:1\ta:2\tz:3",    # repeats
+        lambda line: line + '\tq:"x"\t:empty-key\tk:',
+        lambda line: line.replace("2026", "9999", 1),
+        lambda line: line.replace("Z", ".5+01:00", 1),
+        lambda line: line.replace("T", "t", 1),
+        lambda line: line + "\ttime:2026-02-30T00:00:00Z",
+        lambda line: "\t" + line,
+        lambda line: line + "\tmsg:a:b",
+    ]
+    edges = [
+        "a:b\t\tc:d", "nocolon\tx:y", "time:bad", "\t\t", "k:\t:v",
+        'host:a\thost:b\tz:1\tz:2\ta:"q"', "msg:a:b:c",
+        "time:2026-01-15T00:00:00Z\ttime:2026-01-16T00:00:00Z",
+        "time:2026-01-15T00:00:00Z\ttime:x", "café:1", "k:v\\x",
+        "time:2026-02-30T00:00:00Z", "time:9999-12-31T23:59:59Z",
+        "b:2\ta:1\tb:3", " sp: v \t host : h"]
+    _parity_property(10, DecoderConfig(format="ltsv"),
+                     lambda st: _text_mutations(st, extra), edges)
+
+
+@pytest.mark.parametrize("fields", [
+    "date time cs-method cs-uri sc-status", "a b a c", "", "café \"q\""])
+def test_w3c_vec_parity_with_per_row(fields):
+    extra = [
+        lambda line: line + "\n#c\n" + line,                  # multi-line
+        lambda line: line + ' "quoted value"',
+        lambda line: "#" + line,
+        lambda line: "  #" + line,
+        lambda line: line.replace("GET", "-", 1),
+        lambda line: line + " extra more",
+        lambda line: line.rsplit(" ", 2)[0],
+        lambda line: "   ",
+        lambda line: line.replace(" ", "\t", 1),
+    ]
+    edges = ["#directive", "   ", "  a  b   - d e f g ", 'a "b c" d',
+             "a\tb", "- - - - -", "a b", "  #x", "x\n#c\ny z", "x\r\ny"]
+    _parity_property(9, DecoderConfig(format="w3c", w3c_fields=fields),
+                     lambda st: _text_mutations(st, extra), edges,
+                     max_examples=60)
+
+
+def test_generated_lines_take_the_fast_path():
+    """Every generated line of a vectorized format decodes on the fast
+    path except the malformed JSON lines (and the degenerate family,
+    which is the rfc3164 ladder's fallback branches by design)."""
+    from skewer_ray.config import default_decoders
+    from skewer_ray.gen import conv_index, family_of_conv, generate_table
+
+    tbl = generate_table(6000)
+    fams = [family_of_conv(conv_index(c))
+            for c in tbl["conv_id"].to_pylist()]
+    texts = tbl["text"].to_pylist()
+    for fam, cfg in default_decoders().items():
+        if fam in (4, 11):
+            continue
+        lines = [t for t, f in zip(texts, fams) if f == fam]
+        malformed = sum(t.startswith("{invalid") for t in lines)
+        assert _assert_vec_parity(cfg, lines) == malformed, cfg.format
+
+
+def test_parse_stage_output_independent_of_fast_paths():
+    """ParseStage gives the same table, row order included, whichever
+    rows take a fast path: generated lines, with every 5th line of each
+    family edited so that it falls back (or fails to decode), equal the
+    stage with every fast path switched off."""
+    import pyarrow as pa
+    from skewer_ray.config import default_config
+    from skewer_ray.gen import generate_table
+    from skewer_ray.stages.parse import ParseStage
+
+    cfg = default_config()
+    t = generate_table(6000)
+    texts = t["text"].to_pylist()
+    edits = ["  ", " é", "\\u00e9", '"', "\t", "\n#c\nx y"]
+    texts = [s.replace(" ", edits[(i // 5) % len(edits)], 1)
+             if i % 5 == 0 else s for i, s in enumerate(texts)]
+    t = t.set_column(t.schema.get_field_index("text"), "text",
+                     pa.array(texts, pa.string()))
+    fast = ParseStage(decoder_for_family=cfg.decoder_for_family,
+                      custom_parsers=cfg.custom_parsers)
+    per_row = ParseStage(decoder_for_family=cfg.decoder_for_family,
+                         custom_parsers=cfg.custom_parsers)
+    per_row.decoders = {f: (dec, c, None)
+                        for f, (dec, c, _v) in per_row.decoders.items()}
+    assert fast(t).equals(per_row(t))

@@ -105,6 +105,27 @@ def test_fanout_output_independent_of_batch_size():
     assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
 
 
+def test_parse_and_fanout_outputs_are_contiguous():
+    """ParseStage and FanoutEncodeStage hand one chunk per column across
+    the stage boundary, also for a multi-chunk input batch: downstream
+    regex kernels then compile once per call, and the partitioned write
+    gets one record batch."""
+    import pyarrow as pa
+
+    from skewer_ray.pipelines.flagship import _specs
+    from skewer_ray.stages.fused import FusedStage
+
+    specs = _specs(default_config())
+    t = generate_table(6000)
+    for batch in (t, pa.concat_tables([t.slice(0, 2500), t.slice(2500)])):
+        parsed = FusedStage(specs[:1])(batch)
+        routed = FusedStage(specs[1:3])(parsed)
+        fanned = FusedStage(specs[3:])(routed)
+        for out in (parsed, fanned):
+            assert out.num_rows and all(
+                c.num_chunks == 1 for c in out.columns), out.schema
+
+
 def test_skew_table_shape():
     t = generate_skew_table(2000, hot_fraction=0.5)
     cnt = collections.Counter(t["conv_id"].to_pylist())

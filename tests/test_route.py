@@ -21,6 +21,18 @@ def test_topic_validation():
     assert not topic_name_is_valid("sl/ash")
 
 
+def test_finalize_topics_matches_per_row_check():
+    """The vectorized topic check (charset regex + byte length) keeps a
+    topic exactly where topic_name_is_valid does; null stays null."""
+    from skewer_ray.config import finalize_topics
+    topics = ["", "a", "x" * 249, "x" * 250, "a.B_c-9", "has space",
+              "sl/ash", "café", "é" * 100, "é" * 200, "x" * 248 + "é",
+              "\u00e9", "ﬁx", "tab\t"]
+    got = finalize_topics(pa.array(topics + [None], pa.string()))
+    want = [t if topic_name_is_valid(t) else DEFAULT_TOPIC for t in topics]
+    assert got.to_pylist() == want + [None]
+
+
 def test_hookset_topic_ladder():
     h = HookSet(topic_fn=lambda r: "")
     assert h.topic({}) == DEFAULT_TOPIC                  # empty → default
