@@ -104,28 +104,11 @@ _NATIVE_VEC = {
 
 
 def get_decoder_vec(cfg: DecoderConfig):
-    """Arrow fast-path decoder for this config, or None. Only plain-UTF8
-    streams qualify (the charset wrapper implies a per-row re-decode)."""
-    if cfg.charset.lower() in ("utf8", "utf-8") \
-            and cfg.format in _NATIVE_VEC:
-        return _NATIVE_VEC[cfg.format]
-    return None
+    """Arrow fast-path decoder for this config, or None."""
+    return _NATIVE_VEC.get(cfg.format)
 
 
 _CACHE: dict[tuple, callable] = {}
-
-
-def _wrap_charset(block, charset: str):
-    """decoders/decode.go:174-199 — decode bytes from the configured charset
-    before parsing. Parquet strings are already UTF-8; this path matters for
-    byte inputs (read_binary_files / raw .log ingestion)."""
-    def wrapped(texts, ts_ns, out, cfg=None):
-        decoded = [
-            t.decode(charset, errors="replace") if isinstance(t, (bytes, bytearray)) else t
-            for t in texts
-        ]
-        return block(decoded, ts_ns, out, cfg)
-    return wrapped
 
 
 def get_decoder(cfg: DecoderConfig):
@@ -139,8 +122,6 @@ def get_decoder(cfg: DecoderConfig):
         base = _custom_block(cfg.custom_parser)
     else:
         raise ValueError(f"unknown decoder format: {cfg.format}")
-    if cfg.charset.lower() not in ("utf8", "utf-8"):
-        base = _wrap_charset(base, cfg.charset)
     _CACHE[key] = base
     return base
 

@@ -22,12 +22,11 @@ class DecoderConfig:
     """Mirror of conf.DecoderBaseConfig (conf/types.go:455-468)."""
 
     format: str = "rfc3164"
-    charset: str = "utf8"
     w3c_fields: str = ""          # space-separated field names (decoders/w3c.go:14-20)
     custom_parser: str = ""       # registered user-parser name (decoders/decode.go:131-145)
 
     def key(self):
-        return (self.format, self.charset, self.w3c_fields, self.custom_parser)
+        return (self.format, self.w3c_fields, self.custom_parser)
 
 
 class RecordBuilder:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -87,8 +86,9 @@ def decode_block(texts, ts_ns, out: RecordBuilder, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# vectorized fast path (decoders/vec.py): plain-text objects read with one
-# pyarrow.json.read_json per sub-batch; everything else goes to decode_one
+# vectorized fast path (decoders/vec.py): plain-text objects read with
+# pyarrow.json.read_json, a rejected block in halves; everything else
+# goes to decode_one
 # ---------------------------------------------------------------------------
 
 _SCHEMA = pa.schema([(k, pa.string()) for k in _STR_FIELDS]
@@ -99,10 +99,10 @@ _FACILITY_NAMES = pa.array(FACILITIES)
 def decode_block_vec(texts, ts_ns, cfg=None):
     """GELF fast path: ``_*`` extras render when they hold int64 or
     string values; a level or timestamp out of range falls back."""
-    n = len(texts)
-    rows, t = vec.json_objects(texts, _SCHEMA)
-    if t is None:
-        return None, np.arange(n)
+    return vec.decode_objects(texts, ts_ns, _SCHEMA, _cols)
+
+
+def _cols(rows, t, ts_ns):
     level = pc.fill_null(t["level"], 0.0)
     sev_f = pc.trunc(level)
     fac = pc.fill_null(pc.index_in(t["facility"], value_set=_FACILITY_NAMES),
@@ -126,11 +126,10 @@ def decode_block_vec(texts, ts_ns, cfg=None):
     # sorted keys: "full" sorts after every "_" name
     pieces.append(vec.kv_piece('"full"', full))
     fac = pc.cast(fac, pa.int32())
-    cols = vec.record_cols(
+    return vec.record_cols(
         rows, ~bad,
         priority=pc.add(pc.multiply(fac, 8), sev), facility=fac,
         severity=sev, version=1, time_reported=tr, time_generated=ts_ns[rows],
         hostname=vec.blank(t["host"]),
         message=vec.blank(t["short_message"]),
         properties=vec.props_json("gelf", pieces))
-    return cols, vec.fallback(n, cols["row_idx"])

@@ -129,8 +129,9 @@ def decode_rsyslog_block(texts, ts_ns, out: RecordBuilder, cfg=None):
 
 # ---------------------------------------------------------------------------
 # vectorized fast paths (decoders/vec.py): plain-text objects read with
-# one pyarrow.json.read_json per sub-batch; everything else, including
-# every row of a block Arrow rejects, goes to the per-row decoders above
+# pyarrow.json.read_json, a rejected block in halves; everything else,
+# including each single row Arrow rejects, goes to the per-row decoders
+# above
 # ---------------------------------------------------------------------------
 
 _JSON_SCHEMA = pa.schema([(k, pa.string()) for k in (
@@ -150,10 +151,10 @@ def _name_code(col, names, default):
 
 def decode_json_block_vec(texts, ts_ns, cfg=None):
     """RegularSyslog fast path. Rows with ``properties`` fall back."""
-    n = len(texts)
-    rows, t = vec.json_objects(texts, _JSON_SCHEMA)
-    if t is None:
-        return None, np.arange(n)
+    return vec.decode_objects(texts, ts_ns, _JSON_SCHEMA, _json_cols)
+
+
+def _json_cols(rows, t, ts_ns):
     bad = np.zeros(len(rows), dtype=bool)
     if "properties" in t.column_names:
         bad |= vec.mask(pc.is_valid(t["properties"]))
@@ -166,24 +167,23 @@ def decode_json_block_vec(texts, ts_ns, cfg=None):
         times.append(np.where(present, ns, 0))
     fac = _name_code(vec.blank(t["facility"]), _FACILITY_NAMES, F_USER)
     sev = _name_code(vec.blank(t["severity"]), _SEVERITY_NAMES, S_INFO)
-    cols = vec.record_cols(
+    return vec.record_cols(
         rows, ~bad,
         priority=pc.add(pc.multiply(fac, 8), sev), facility=fac,
         severity=sev, version=1, time_reported=times[0],
         time_generated=times[1], hostname=vec.blank(t["hostname"]),
         appname=vec.blank(t["appname"]), procid=vec.blank(t["procid"]),
         msgid=vec.blank(t["msgid"]), message=vec.blank(t["message"]))
-    return cols, vec.fallback(n, cols["row_idx"])
 
 
 def decode_rsyslog_block_vec(texts, ts_ns, cfg=None):
     """rsyslog-export fast path. ``pri`` must be 1-9 plain digits (the
     int32 cast stays safe); the ``$!`` bag renders when it holds int64
     or string values."""
-    n = len(texts)
-    rows, t = vec.json_objects(texts, _RSYSLOG_SCHEMA)
-    if t is None:
-        return None, np.arange(n)
+    return vec.decode_objects(texts, ts_ns, _RSYSLOG_SCHEMA, _rsyslog_cols)
+
+
+def _rsyslog_cols(rows, t, ts_ns):
     pri_s = vec.blank(t["pri"])
     bad = ~vec.matches(pri_s, r"^[0-9]{1,9}$")
     pri = pc.cast(pc.if_else(pa.array(bad), "0", pri_s), pa.int32())
@@ -210,7 +210,7 @@ def decode_rsyslog_block_vec(texts, ts_ns, cfg=None):
         if pieces:
             props = vec.props_json("rsyslog", pieces)
     fac = pc.divide(pri, 8)
-    cols = vec.record_cols(
+    return vec.record_cols(
         rows, ~bad,
         priority=pri, facility=fac,
         severity=pc.subtract(pri, pc.multiply(fac, 8)), version=1,
@@ -219,4 +219,3 @@ def decode_rsyslog_block_vec(texts, ts_ns, cfg=None):
         procid=nil_trim("procid"), msgid=nil_trim("msgid"),
         structured=nil_trim("structured-data"),
         message=pc.utf8_trim(vec.blank(t["msg"]), " "), properties=props)
-    return cols, vec.fallback(n, cols["row_idx"])

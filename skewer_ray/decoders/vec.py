@@ -163,35 +163,87 @@ _OBJECT = r"^\{[ -\[\]-~]*\}$"
 _ODD_VALUE = r"[:,\[] *(?:null|-?[IN])"
 
 
-def json_objects(texts, schema: pa.Schema):
-    """``(rows, batch)``: the candidate rows of ``texts`` and their
-    objects read with one ``pyarrow.json.read_json`` (known fields typed
-    by ``schema``, others inferred) as one RecordBatch; None when there are no
-    candidates, or Arrow rejects the block (a type change, a duplicate
-    key, bad syntax) or reads another number of rows (two objects on
-    one line)."""
+# read_json calls per sub-batch at most: a block with many type clashes
+# would halve down to single rows, one call each; the rows still unread
+# then fall back
+_MAX_READS = 32
+
+
+def json_objects(texts, schema: pa.Schema) -> list:
+    """``[(rows, batch), ...]``: the candidate rows of ``texts`` and
+    their objects read with ``pyarrow.json.read_json`` (known fields
+    typed by ``schema``, others inferred) as one RecordBatch per part,
+    in row order. One read takes all candidates; where Arrow rejects a
+    part (a type change, a duplicate key, bad syntax) or reads another
+    number of rows (two objects on one line), its two halves are read
+    on their own, so a rejected single row is left out and only it
+    falls back; the accepted rows are then read once more as one part.
+    Where that fails too, each part keeps its own inferred types for
+    the other fields."""
     rows = np.nonzero(matches(texts, _OBJECT)
                       & ~matches(texts, _ODD_VALUE))[0]
     if not len(rows):
-        return rows, None
-    # the data buffer of the rows, each with its "\n": no Python join
+        return []
+    # the data buffer of the rows, each with its "\n": no Python join;
+    # rows[lo:hi] are its bytes ends[lo]:ends[hi]
     lines = pc.binary_join_element_wise(pc.take(texts, pa.array(rows)),
                                         "", "\n")
-    size = pc.sum(pc.binary_length(lines)).as_py()
-    data = lines.buffers()[2].slice(0, size)
+    ends = np.concatenate(([0], np.cumsum(
+        pc.binary_length(lines).to_numpy(zero_copy_only=False))))
+    data = lines.buffers()[2]
+    parts, todo = [], [(0, len(rows))]
+    for _ in range(_MAX_READS):
+        if not todo:
+            break
+        lo, hi = todo.pop()
+        batch = _read_json(data.slice(ends[lo], ends[hi] - ends[lo]),
+                           hi - lo, schema)
+        if batch is not None:
+            parts.append((lo, hi, batch))
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            todo += [(mid, hi), (lo, mid)]      # lower half first
+    if len(parts) > 1:
+        # the accepted rows read again as one part, when their types
+        # agree: one decode instead of one per part
+        keep = np.concatenate([np.arange(lo, hi) for lo, hi, _ in parts])
+        size = sum(int(ends[hi] - ends[lo]) for lo, hi, _ in parts)
+        data = pc.take(lines, pa.array(keep)).buffers()[2].slice(0, size)
+        batch = _read_json(data, len(keep), schema)
+        if batch is not None:
+            return [(rows[keep], batch)]
+    return [(rows[lo:hi], batch) for lo, hi, batch in parts]
+
+
+def _read_json(data, n: int, schema: pa.Schema):
+    """The ``n`` objects in ``data`` as one RecordBatch, or None."""
     try:
         table = pj.read_json(
             data,
-            # one block: the whole sub-batch is typed as one
+            # one block: the whole part is typed as one
             read_options=pj.ReadOptions(use_threads=False,
-                                        block_size=size + 1),
+                                        block_size=data.size + 1),
             parse_options=pj.ParseOptions(
                 explicit_schema=schema, unexpected_field_behavior="infer"))
     except pa.ArrowInvalid:
-        return rows, None
-    if table.num_rows != len(rows):
-        return rows, None
-    return rows, table.combine_chunks().to_batches()[0]
+        return None
+    if table.num_rows != n:
+        return None
+    return table.combine_chunks().to_batches()[0]
+
+
+def decode_objects(texts, ts_ns, schema: pa.Schema, part_cols):
+    """A JSON family's fast path over ``json_objects``: ``part_cols(rows,
+    batch, ts_ns)`` gives the ``record_cols`` of one part; the parts'
+    columns are joined in row order."""
+    parts = [part_cols(rows, t, ts_ns)
+             for rows, t in json_objects(texts, schema)]
+    if not parts:
+        return None, np.arange(len(texts))
+    cols = parts[0] if len(parts) == 1 else {
+        k: (np.concatenate if k == "row_idx" else pa.concat_arrays)(
+            [c[k] for c in parts]) for k in parts[0]}
+    return cols, fallback(len(texts), cols["row_idx"])
 
 
 def extras_pieces(cols: dict, n: int,

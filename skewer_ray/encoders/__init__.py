@@ -290,12 +290,6 @@ def frame_octet(payload: str, binary: bool = False) -> str:
     return f"{n} {payload}"
 
 
-def frame_octet_bytes(data: bytes) -> bytes:
-    if not data:
-        return b""
-    return str(len(data)).encode() + b" " + data
-
-
 def frame_relp(txnr: int, command: str, payload: str,
                binary: bool = False) -> str:
     """RELPEncode (encoders/encoder.go:159-178):

@@ -282,64 +282,6 @@ def ivf_topk(emb_ds, query_ids: list[int], k: int = DEFAULT_K,
     return _merge_topk(partials, k)
 
 
-def kmeans_train(emb_ds, n_cells: int = 10, iters: int = 5):
-    """Spherical k-means over the embedding column — the trained coarse
-    quantizer for IVF at scale (the stored ``label`` column stands in
-    for it on the fixtures).
-
-    Ray-Data-native Lloyd iterations: each pass is ONE map_batches that
-    scores the block against the BROADCAST centroids (ray.put once per
-    iteration) and emits per-cell partial (sum, count) rows; the k-row
-    combine happens on the driver. Nothing materializes the dataset and
-    the shuffle volume is k × n_blocks partial rows per iteration.
-
-    Deterministic for a fixed input layout: init = the n_cells lowest
-    vec_ids among the per-block head rows (seedless, data-derived);
-    ties in assignment break toward the lower cell id. Returns the
-    (n_cells, dim) L2-normalized centroid matrix."""
-    import ray
-
-    init_rows = sorted(
-        ((r["vec_id"], r["embedding"]) for r in
-         emb_ds.select_columns(["vec_id", "embedding"])
-         .map_batches(lambda b: b.slice(0, min(b.num_rows, n_cells)),
-                      batch_format="pyarrow").take_all()),
-        key=lambda r: r[0])[:n_cells]
-    cents = _norm_rows(np.array([e for _i, e in init_rows],
-                                dtype=np.float64))
-
-    for _ in range(iters):
-        broadcast = ray.put(cents)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(broadcast)
-            mat = _norm_rows(np.array(batch["embedding"].to_pylist(),
-                                      dtype=np.float64))
-            cell = np.argmax(mat @ c.T, axis=1)  # ties → lower cell id
-            cells, sums, cnts = [], [], []
-            for lb in np.unique(cell):
-                m = cell == lb
-                cells.append(int(lb))
-                sums.append(mat[m].sum(axis=0).tolist())
-                cnts.append(int(m.sum()))
-            return pa.table({
-                "cell": pa.array(cells, pa.int64()),
-                "vsum": pa.array(sums, pa.large_list(pa.float64())),
-                "cnt": pa.array(cnts, pa.int64())})
-
-        acc: dict[int, list] = {}
-        for r in emb_ds.select_columns(["embedding"]).map_batches(
-                partial, batch_format="pyarrow").take_all():
-            s = acc.setdefault(r["cell"], [np.zeros(cents.shape[1]), 0])
-            s[0] += np.asarray(r["vsum"])
-            s[1] += r["cnt"]
-        new = cents.copy()  # empty cells keep their previous centroid
-        for cell, (vsum, cnt) in acc.items():
-            new[cell] = vsum / cnt
-        cents = _norm_rows(new)
-    return cents
-
-
 def _bucket_of(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
     bits = (mat @ planes.T) > 0
     return (bits * (1 << np.arange(planes.shape[0]))).sum(axis=1)

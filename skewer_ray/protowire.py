@@ -1,26 +1,20 @@
-"""Hand-rolled protobuf wire codec for SyslogMessage / FullMessage.
+"""Hand-rolled protobuf wire codec for SyslogMessage.
 
-Mirrors the gogo-generated marshal exactly (model/types.pb.go:598-758,
-field tags at :73-85 and :184-192): proto3 scalars omitted when zero,
+Mirrors the gogo-generated marshal exactly (model/types.pb.go:598-689,
+field tags at :73-85): proto3 scalars omitted when zero,
 strings omitted when empty, the non-nullable Properties message always
 emitted (tag 0x6a even when empty), map entries as nested
 key(1)/value(2) messages with the value field always present for inner
 string maps and present-when-non-nil for the outer map.
 
-Canonical deviations (documented; the reference iterates Go maps in
-random order and ships 16-byte ULIDs):
-- map entries are emitted in SORTED key order, like every other
-  canonicalization in this repo;
-- the FullMessage conn_id/conf_id/uid ULID fields carry
-  ``md5(utf8(id)).digest()`` (16 bytes, same width as a binary ULID)
-  derived from our deterministic string uids; decode returns the hex.
+Canonical deviation (documented; the reference iterates Go maps in
+random order): map entries are emitted in SORTED key order, like every
+other canonicalization in this repo.
 
 No protobuf runtime is used or required.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 _WT_VARINT = 0
 _WT_LEN = 2
@@ -99,29 +93,6 @@ def encode_syslog_message(rec: dict) -> bytes:
     out += _str_field(11, rec.get("structured", ""))
     out += _str_field(12, rec.get("message", ""))
     out += _len_field(13, _properties(props))  # always emitted
-    return bytes(out)
-
-
-def _ulid16(s: str) -> bytes:
-    return hashlib.md5(s.encode()).digest()
-
-
-def encode_full_message(rec: dict, txnr: int = 0, client_addr: str = "",
-                        source_type: str = "", source_path: str = "",
-                        source_port: int = 0, conn_id: str = "",
-                        conf_id: str = "") -> bytes:
-    """FullMessage wire bytes (types.pb.go:690-758): envelope + the
-    SyslogMessage as field 9. ULID fields are always emitted (16B)."""
-    out = bytearray()
-    out += _varint_field(1, txnr)
-    out += _str_field(2, client_addr)
-    out += _str_field(3, source_type)
-    out += _str_field(4, source_path)
-    out += _varint_field(5, source_port)
-    out += _len_field(6, _ulid16(conn_id))
-    out += _len_field(7, _ulid16(conf_id))
-    out += _len_field(8, _ulid16(rec.get("uid", "")))
-    out += _len_field(9, encode_syslog_message(rec))
     return bytes(out)
 
 
@@ -216,28 +187,3 @@ def decode_syslog_message(data: bytes) -> dict:
                 props[k.decode()] = kv
     rec["properties"] = props_dumps(props)
     return rec
-
-
-def decode_full_message(data: bytes) -> dict:
-    out = dict(txnr=0, client_addr="", source_type="", source_path="",
-               source_port=0, conn_id="", conf_id="", uid="", fields=None)
-    for field, _wt, v in _fields(data):
-        if field == 1:
-            out["txnr"] = _signed64(int(v))
-        elif field == 2:
-            out["client_addr"] = v.decode()
-        elif field == 3:
-            out["source_type"] = v.decode()
-        elif field == 4:
-            out["source_path"] = v.decode()
-        elif field == 5:
-            out["source_port"] = _signed64(int(v))
-        elif field == 6:
-            out["conn_id"] = v.hex()
-        elif field == 7:
-            out["conf_id"] = v.hex()
-        elif field == 8:
-            out["uid"] = v.hex()
-        elif field == 9:
-            out["fields"] = decode_syslog_message(v)
-    return out

@@ -1,5 +1,5 @@
-"""Live TCP/RELP client destinations — real sockets behind the batch
-fan-out's per-sink semantics.
+"""Live client destinations (TCP, RELP, HTTP, Graylog, NATS, Redis) —
+real sockets behind the batch fan-out's per-sink semantics.
 
 TCP (store/dests/tcpdest.go:83-107): TCP has no application-level ack,
 so the reference ACKs message N-1 only when the write of message N
@@ -12,7 +12,10 @@ at-most-once; ``ack_on_close=True`` opts in to the looser rule.
 
 RELP (store/dests/relpdest.go): windowed sends tagged with txnr; the
 server's ``rsp`` answers ack (200→ACK) or reject (500→NACK) each txnr
-individually, possibly out of order.
+individually, possibly out of order. The answers share the request
+frame grammar (utils/split.go:249 RelpSplit: ``TXNR SP COMMAND SP
+DATALEN[ SP DATA]\\n``), so the client reads them with
+``RelpStreamParser``.
 
 These are tap/test-scale surfaces (the bulk batch contract stays
 parquet); statuses come back as a uid→status dict the lineage layer
@@ -23,10 +26,98 @@ from __future__ import annotations
 
 import os
 import socket
+from dataclasses import dataclass
 
 from .encoders import BINARY_ENCODERS, frame_octet, frame_relp, get_encoder
 
 ACK, NACK, PERMERROR, PENDING = "ack", "nack", "permerror", "pending"
+
+
+@dataclass
+class RelpFrame:
+    txnr: int
+    command: str
+    data: bytes
+
+
+class RelpParseError(ValueError):
+    pass
+
+
+class RelpStreamParser:
+    """Incremental RELP frame parser: feed() arbitrary byte chunks,
+    collect complete frames (the streaming equivalent of RelpSplit —
+    partial frames stay buffered until the rest arrives)."""
+
+    def __init__(self, max_data: int = 132_000):
+        self._buf = b""
+        self.max_data = max_data
+
+    def feed(self, chunk: bytes) -> list[RelpFrame]:
+        self._buf += chunk
+        frames: list[RelpFrame] = []
+        while True:
+            fr = self._try_parse_one()
+            if fr is None:
+                return frames
+            frames.append(fr)
+
+    # a complete header is TXNR(≤10 digits) SP COMMAND(≤32) SP
+    # DATALEN(≤10 digits) — anything longer without its two spaces is
+    # garbage, bounded so a malformed stream can't buffer unboundedly
+    MAX_HEADER = 64
+
+    def _try_parse_one(self) -> RelpFrame | None:
+        buf = self._buf
+        # header: TXNR SP COMMAND SP DATALEN
+        parts = buf.split(b" ", 2)
+        if len(parts) < 3:
+            if len(buf) > self.MAX_HEADER:
+                raise RelpParseError("unframed garbage")
+            return None
+        txnr_b, command_b, rest = parts
+        if not txnr_b.isdigit():
+            raise RelpParseError(f"bad txnr {txnr_b!r}")
+        if not command_b or len(command_b) > 32 or \
+                not all(0x61 <= c <= 0x7a for c in command_b):
+            # commands are lowercase ASCII words (open/syslog/close/
+            # rsp/serverclose/abort); anything else must surface as a
+            # protocol error, never a UnicodeDecodeError
+            raise RelpParseError(f"bad command {command_b[:32]!r}")
+        # DATALEN terminates at SP (data follows) or LF (datalen 0)
+        dl_end = 0
+        while dl_end < len(rest) and rest[dl_end:dl_end + 1].isdigit():
+            dl_end += 1
+        if dl_end == 0:
+            if rest:  # first byte present and not a digit → malformed,
+                # raise instead of waiting forever for "more" bytes
+                raise RelpParseError(f"bad datalen start {rest[:1]!r}")
+            return None
+        if dl_end == len(rest):
+            if dl_end > 10:
+                raise RelpParseError("bad datalen")
+            return None  # digits may continue in the next chunk
+        datalen = int(rest[:dl_end])
+        if datalen > self.max_data:
+            raise RelpParseError(f"frame too large: {datalen}")
+        sep = rest[dl_end:dl_end + 1]
+        if datalen == 0:
+            if sep != b"\n":
+                raise RelpParseError("datalen 0 must end with LF")
+            consumed = len(txnr_b) + 1 + len(command_b) + 1 + dl_end + 1
+            self._buf = buf[consumed:]
+            return RelpFrame(int(txnr_b), command_b.decode("ascii"), b"")
+        if sep != b" ":
+            raise RelpParseError("missing SP before data")
+        need = dl_end + 1 + datalen + 1  # DATALEN SP DATA LF
+        if len(rest) < need:
+            return None
+        data = rest[dl_end + 1:dl_end + 1 + datalen]
+        if rest[need - 1:need] != b"\n":
+            raise RelpParseError("missing frame trailer")
+        consumed = len(txnr_b) + 1 + len(command_b) + 1 + need
+        self._buf = buf[consumed:]
+        return RelpFrame(int(txnr_b), command_b.decode("ascii"), data)
 
 
 class TcpClientSink:
@@ -111,7 +202,6 @@ class RelpClientSink:
 
     def __init__(self, sock: socket.socket, encoder: str = "rfc5424",
                  window: int = 128):
-        from .sources.relp import RelpStreamParser
         self._encode = get_encoder(encoder)
         self._binary = encoder in BINARY_ENCODERS
         self._sock = sock
@@ -121,8 +211,8 @@ class RelpClientSink:
             frame_relp(self._txnr, "open",
                        "relp_version=0\ncommands=syslog").encode())
         # answers share the request frame grammar (TXNR CMD LEN [DATA]
-        # LF; the open ack's DATA embeds newlines) — reuse the server's
-        # incremental parser instead of line splitting
+        # LF; the open ack's DATA embeds newlines): parse them
+        # incrementally instead of splitting lines
         self._parser = RelpStreamParser()
         self._frames: list = []
         self._read_rsp()  # the open ack
@@ -295,8 +385,8 @@ class GraylogClientSink:
     gelf lib's UDP writer semantics): each message is GELF-JSON
     encoded, gzip-compressed (CompressGzip default), and sent as ONE
     datagram when it fits ``mtu`` or as ≤128 chunked datagrams (magic
-    1e0f | msg_id[8] | seq u8 | total u8 | part — the exact frame
-    sources/gelf_chunks.py reassembles). UDP is fire-and-forget:
+    1e0f | msg_id[8] | seq u8 | total u8 | part, the frame a Graylog
+    input reassembles). UDP is fire-and-forget:
     a successful write ACKs (ForEach ackf=true); >128 chunks or a
     socket error is a send failure → NACK current + remaining."""
 

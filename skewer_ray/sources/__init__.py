@@ -1,11 +1,7 @@
-from .rawlog import read_raw_log_lines, split_frames
 from .journald import read_journald_export, parse_journald_export
 from .accounting import read_accounting, parse_acct_records, write_acct_fixture
-from .gelf_chunks import datagrams_to_rows, reassemble
 
 __all__ = [
-    "read_raw_log_lines", "split_frames",
     "read_journald_export", "parse_journald_export",
     "read_accounting", "parse_acct_records", "write_acct_fixture",
-    "datagrams_to_rows", "reassemble",
 ]

@@ -69,8 +69,8 @@ class ParseStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.single:
             # one decoder for the whole stream: no per-conv family
-            # routing (arbitrary conv_id values allowed, e.g. raw-log
-            # file stems from sources.read_raw_log_lines)
+            # routing (arbitrary conv_id values allowed, e.g. the
+            # single-format edge and macOS/collectd corpus tables)
             fam = np.zeros(batch.num_rows, dtype=np.int64)
         else:
             fam = family_array(batch["conv_id"])

@@ -42,9 +42,11 @@ Mapping:
 - ``[kafka]`` / ``[file_destination]`` / ``[stderr]``-style dest
   sections → SinkConfigs (``dest_format`` chooses the encoder,
   conf/defaults.go; kafka defaults on).
-- network/TLS/store tuning keys are accepted and ignored (socket wire
-  concerns replaced by Ray Data sources/sinks); they are recorded in
-  ``PipelineConfig`` extras for inspection.
+- network/TLS/store tuning keys and a ``[[syslog]]`` section's
+  ``encoding`` are accepted and ignored: socket wire concerns are
+  replaced by Ray Data sources/sinks, and the input ``text`` column
+  already holds UTF-8 Arrow strings, so a charset has nothing to
+  re-decode.
 - dynamic reload (SIGHUP / Consul watch, cmd/serve.go:788-827,
   consul/dynamicconf.go): a batch engine's equivalent is re-planning —
   configs are parsed per run, every stage derives from the
@@ -663,8 +665,7 @@ def config_from_toml(text_or_path: str) -> PipelineConfig:
         if fmt_l in _KNOWN_FORMATS:
             decoder_for_family[i] = DecoderConfig(
                 format=fmt_l,
-                w3c_fields=sec.get("w3c_fields", ""),
-                charset=sec.get("encoding", "utf8"))
+                w3c_fields=sec.get("w3c_fields", ""))
         elif fmt in custom_parsers:
             decoder_for_family[i] = DecoderConfig(format="custom",
                                                   custom_parser=fmt)

@@ -421,21 +421,6 @@ def test_topk_terms_matches_local_count(ray_session):
     assert got == expect
 
 
-def test_kmeans_trained_ivf(ray_session):
-    """Trained spherical k-means quantizer: deterministic across runs,
-    with unit-norm centroids."""
-    import ray.data as rd
-    from skewer_ray.functions.similarity import kmeans_train
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-    c1 = kmeans_train(emb, n_cells=8, iters=3)
-    c2 = kmeans_train(emb, n_cells=8, iters=3)
-    assert c1.shape == (8, 64)
-    assert np.array_equal(c1, c2)  # deterministic
-    assert np.allclose(np.linalg.norm(c1, axis=1), 1.0)
-
-
 def test_running_totals_vs_pandas(ray_session):
     """Distributed running sum/lag equals a pandas groupby-cumsum."""
     import pyarrow.parquet as pq

@@ -295,38 +295,17 @@ def test_protowire_golden_bytes():
         encode_syslog_message(rneg))["time_reported"] == -5
 
 
-def test_protowire_full_message_roundtrip():
-    from skewer_ray.protowire import decode_full_message, encode_full_message
-    import hashlib
-    rec = {"priority": 165, "facility": 20, "severity": 5, "version": 1,
-           "time_reported": 123, "time_generated": 456, "hostname": "h",
-           "appname": "a", "procid": "9", "msgid": "m", "structured": "",
-           "message": "payload", "properties": '{"d":{"k":"v"}}',
-           "uid": "conv-1:7:0"}
-    wire = encode_full_message(rec, txnr=42, client_addr="10.0.0.1:514",
-                               source_type="tcp", conf_id="cfg-a")
-    out = decode_full_message(wire)
-    assert out["txnr"] == 42 and out["client_addr"] == "10.0.0.1:514"
-    assert out["source_type"] == "tcp" and out["source_port"] == 0
-    assert out["uid"] == hashlib.md5(b"conv-1:7:0").hexdigest()
-    assert out["conf_id"] == hashlib.md5(b"cfg-a").hexdigest()
-    f = out["fields"]
-    assert f["priority"] == 165 and f["message"] == "payload"
-    assert f["properties"] == '{"d":{"k":"v"}}'
-
-
 def test_framing_encoders():
     """Octet-counted and RELP frames (encoders/encoder.go:139-178):
     per-row helpers and the vectorized fan-out form agree byte-for-byte,
     lengths count utf-8 BYTES."""
     import pyarrow as pa
-    from skewer_ray.encoders import frame_octet, frame_octet_bytes, frame_relp
+    from skewer_ray.encoders import frame_octet, frame_relp
     from skewer_ray.stages.fanout import FanoutEncodeStage
 
     assert frame_octet("abc") == "3 abc"
     assert frame_octet("é") == "2 é"          # utf-8 bytes, not chars
     assert frame_octet("") == ""
-    assert frame_octet_bytes(b"\x01\x02") == b"2 \x01\x02"
     assert frame_relp(7, "syslog", "hello") == "7 syslog 5 hello\n"
     assert frame_relp(8, "syslog", "") == "8 syslog 0\n"
 

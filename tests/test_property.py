@@ -1,5 +1,5 @@
 """Property-based roundtrips (hypothesis): encoder→decoder inverses,
-framing, property-bag canonicalization."""
+property-bag canonicalization."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from skewer_ray.decoders import DecoderConfig, RecordBuilder, get_decoder
 from skewer_ray.encoders import (encode_protobuf, encode_rfc3164,
                                  encode_rfc5424)
 from skewer_ray.schema import props_dumps, props_loads
-from skewer_ray.sources import split_frames
 
 _PRINTABLE = string.ascii_letters + string.digits + ".-_:/"
 ident = st.text(alphabet=_PRINTABLE, min_size=1, max_size=20)
@@ -104,18 +103,6 @@ def test_protobuf_wire_roundtrip(pri, fields, props, tr):
     assert b.parse_ok == [True]
     assert b.message == [fields["Message"]]
     assert props_loads(b.properties[0]) == (props if props else {})
-
-
-@given(msgs=st.lists(st.text(
-    alphabet=string.ascii_letters + " ", min_size=1, max_size=80),
-    min_size=1, max_size=20))
-@settings(max_examples=100, deadline=None)
-def test_octet_framing_roundtrip(msgs):
-    payload = b"".join(f"{len(m.encode())} ".encode() + m.encode()
-                       for m in msgs)
-    if payload[:1].isdigit():
-        frames = split_frames(payload)
-        assert [f.decode() for f in frames] == msgs
 
 
 @given(props=st.dictionaries(ident, st.dictionaries(ident, msg_text,

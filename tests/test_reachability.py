@@ -1,0 +1,64 @@
+"""No subsystem that only tests can reach: every top-level public def or
+class in ``skewer_ray/`` must be named somewhere outside ``tests/`` —
+the package itself, ``tools/``, ``bench.py``, ``__ray_entry__.py`` or
+``perfbench/`` (its test file excluded) — other than on its own
+definition line.
+
+A mention in a docstring or comment counts as a use, so the check is a
+lower bound on test-only code; it never flags a name a run reaches."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "skewer_ray"
+
+# names only tests use today, each with its reason
+ALLOWED = {
+    "TcpClientSink": "client sink, waiting for a deliver step",
+    "RelpClientSink": "client sink, waiting for a deliver step",
+    "GraylogClientSink": "client sink, waiting for a deliver step",
+    "NatsClientSink": "client sink, waiting for a deliver step",
+    "RedisClientSink": "client sink, waiting for a deliver step",
+    "decode_fullavro": "test oracle: reads back the fullavro encoder",
+    "bulk_ack_statuses": "test oracle: folds a simulated bulk exchange",
+    "read_encrypted": "reader that checks an encrypted partition",
+    "generate_skew_table": "skew fixture generator for the skew tests",
+}
+
+
+def _search_files() -> list[Path]:
+    files = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tools").rglob("*.py"))
+    files += [ROOT / "bench.py", ROOT / "__ray_entry__.py"]
+    return files + [p for p in sorted((ROOT / "perfbench").rglob("*.py"))
+                    if p.name != "test_perfbench.py"]
+
+
+def _public_defs():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                yield path, node.lineno, node.name
+
+
+def test_every_public_name_is_used_outside_tests():
+    """Unused names are exactly the allowlist: a new test-only name
+    fails, and so does an allowlisted name that is now used (or gone)."""
+    lines = {p: p.read_text().splitlines() for p in _search_files()}
+    unused = {}
+    for path, lineno, name in _public_defs():
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        if not any(word.search(line)
+                   for p, text in lines.items()
+                   for i, line in enumerate(text, 1)
+                   if not (p == path and i == lineno)):
+            unused[name] = f"{path.relative_to(ROOT)}:{lineno} {name}"
+    extra = sorted(v for k, v in unused.items() if k not in ALLOWED)
+    assert not extra, "used only by tests:\n" + "\n".join(extra)
+    assert set(unused) == set(ALLOWED), \
+        f"allowlisted but used or gone: {sorted(set(ALLOWED) - set(unused))}"

@@ -1,19 +1,11 @@
-"""RELP ordered-ack path over a REAL socket (VERDICT r02 #8): frames →
-parse → per-connection acks written strictly in txnr order even when
-downstream parse completion is out of order — mirroring the reference's
-handleResponses re-ordering loop (services/network/relp.go:405-476) and
-RelpSplit framing (utils/split.go:249)."""
+"""RELP frame parser (RelpSplit framing, utils/split.go:249): the
+incremental parser ``RelpClientSink`` reads the server's answers with."""
 
 from __future__ import annotations
 
-import random
-import socket
-import threading
-
 import pytest
 
-from skewer_ray.sources.relp import (RelpAckWindow, RelpParseError,
-                                     RelpStreamParser, serve_relp_connection)
+from skewer_ray.sinks_live import RelpParseError, RelpStreamParser
 
 
 def _frame(txnr: int, command: str, data: bytes) -> bytes:
@@ -46,104 +38,6 @@ def test_stream_parser_rejects_garbage():
         RelpStreamParser().feed(b"x" * 100)
     with pytest.raises(RelpParseError):
         RelpStreamParser().feed(b"abc syslog 3 foo\n")  # non-numeric txnr
-
-
-def test_ack_window_reorders():
-    """Completions in any order release acks in commit (arrival) order,
-    and a missing txnr blocks everything behind it."""
-    w = RelpAckWindow()
-    for t in range(1, 8):
-        w.received(t)
-    order = [4, 2, 6, 1, 3, 7, 5]
-    released = []
-    for t in order:
-        released.extend(w.complete(t, t % 2 == 0))
-    assert [t for t, _ in released] == list(range(1, 8))
-    assert [ok for t, ok in released] == [t % 2 == 0 for t in range(1, 8)]
-    assert w.pending == 0
-    # blocking: 2 never completes -> 3..4 stay queued
-    w2 = RelpAckWindow()
-    for t in (1, 2, 3, 4):
-        w2.received(t)
-    out = w2.complete(1, True)
-    out += w2.complete(3, True)
-    out += w2.complete(4, True)
-    assert [t for t, _ in out] == [1]
-    assert w2.pending == 3
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_relp_end_to_end_socket_ordered_acks(seed):
-    """Real socketpair: client sends open + 20 syslog frames (4 of them
-    malformed → 500) + close; server completes parses in a SHUFFLED
-    order; client must still receive rsp frames in strictly increasing
-    txnr order with the right 200/500 statuses (relp.go:405-476)."""
-    from skewer_ray.decoders.base import RecordBuilder
-    from skewer_ray.decoders.rfc3164 import decode_block
-
-    rng = random.Random(seed)
-    n = 20
-    bad = {5, 9, 14, 18}  # simulated downstream ForwardFail (store NACK)
-    payloads = {}
-    for i in range(n):
-        txnr = i + 2
-        if txnr in bad:
-            payloads[txnr] = b"FAIL this one \xff\xfe"
-        else:
-            payloads[txnr] = (b"<13>Jun  1 10:00:%02d host app[7]: m%d"
-                              % (i % 60, i))
-
-    def process(frame) -> bool:
-        # the real parse runs (the decoder ladder accepts ANY line, as
-        # the reference's does — 500s come from the store, not parsing)
-        out = RecordBuilder()
-        decode_block([frame.data.decode("utf-8", "replace")], [0], out)
-        assert bool(out.parse_ok)
-        return not frame.data.startswith(b"FAIL")
-
-    server_sock, client_sock = socket.socketpair()
-    accepted = []
-
-    def run_server():
-        accepted.extend(serve_relp_connection(
-            server_sock, process,
-            completion_order=lambda fr: rng.sample(fr, len(fr))))
-        server_sock.close()
-
-    th = threading.Thread(target=run_server)
-    th.start()
-    wire = _frame(1, "open", b"relp_version=0\ncommands=syslog")
-    for txnr in sorted(payloads):
-        wire += _frame(txnr, "syslog", payloads[txnr])
-    wire += _frame(n + 2, "close", b"")
-    client_sock.sendall(wire)
-
-    resp = b""
-    while b"serverclose" not in resp:
-        chunk = client_sock.recv(4096)
-        if not chunk:
-            break
-        resp += chunk
-    th.join(timeout=10)
-    client_sock.close()
-
-    # every accepted frame reached the row surface, in wire order
-    assert [f.txnr for f in accepted] == sorted(payloads)
-
-    lines = resp.split(b"\n")
-    acks = []  # (txnr, status) for rsp frames with a numeric status
-    for ln in lines:
-        parts = ln.split(b" ")
-        if len(parts) >= 4 and parts[1] == b"rsp" and \
-                parts[3] in (b"200", b"500"):
-            acks.append((int(parts[0]), int(parts[3])))
-    # open ack (txnr 1) + one ack per syslog frame
-    assert acks[0][0] == 1 and acks[0][1] == 200
-    sys_acks = acks[1:]
-    assert [t for t, _ in sys_acks] == sorted(payloads)  # MONOTONIC txnr
-    for txnr, status in sys_acks:
-        assert status == (500 if txnr in bad else 200), txnr
-    assert resp.endswith(b"0 serverclose 0\n")
 
 
 def test_stream_parser_bad_datalen_raises_not_stalls():

@@ -1,4 +1,4 @@
-"""Live client destinations (sinks_live) against the live sources —
+"""Live client destinations (sinks_live) against small in-test peers —
 the engine's own wire bytes travel a real socket and come back
 losslessly, with the reference's ack semantics.
 
@@ -7,10 +7,15 @@ per-txnr acks: store/dests/relpdest.go."""
 
 from __future__ import annotations
 
+import gzip
 import socket
+import threading
+import zlib
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from skewer_ray.sinks_live import (ACK, NACK, PENDING, PERMERROR,
-                                   RelpClientSink, TcpClientSink)
+                                   RelpClientSink, RelpStreamParser,
+                                   TcpClientSink)
 
 TS = 1768435200 * 10**9
 
@@ -25,37 +30,55 @@ def rec(uid: str, **kw) -> dict:
     return base
 
 
+def _tcp_peer():
+    """A listening socket and a thread that accepts one connection,
+    reads it to EOF and puts its non-empty ``\\n``-split lines in the
+    returned list."""
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    lines: list = []
+
+    def run():
+        conn, _ = srv.accept()
+        with conn:
+            data = b""
+            while chunk := conn.recv(65536):
+                data += chunk
+        lines.extend(ln.decode() for ln in data.split(b"\n") if ln)
+
+    th = threading.Thread(target=run)
+    th.start()
+    return srv, th, lines
+
+
 def test_tcp_client_sink_loopback_and_lazy_ack():
     from skewer_ray.encoders import encode_rfc5424
-    from skewer_ray.sources.sockets import TcpLineSource, serve_in_thread
 
-    listener = TcpLineSource()
-    th, out = serve_in_thread(listener.collect, 1)
+    srv, th, got = _tcp_peer()
 
     rows = [rec("u1"), rec("u2"), rec("u3", hostname="bad\nhost"),
             rec("u4")]
-    sink = TcpClientSink(listener.address, encoder="rfc5424",
+    sink = TcpClientSink(srv.getsockname(), encoder="rfc5424",
                          ack_on_close=True)
     status = sink.send_rows(rows)
     status.update(sink.flush())
     th.join(timeout=10)
-    listener.close()
+    srv.close()
+    assert not th.is_alive()
 
     # lazy ratchet: u1/u2 acked by the NEXT successful write; u3 is a
     # PermError (invalid hostname) and never hits the wire; u4 acked at
     # graceful flush only because ack_on_close was opted into
     assert status == {"u1": ACK, "u2": ACK, "u3": PERMERROR, "u4": ACK}
 
-    got = [r["text"] for r in out[0].to_pylist()]
     assert got == [encode_rfc5424(rows[0]), encode_rfc5424(rows[1]),
                    encode_rfc5424(rows[3])]
 
 
 def test_tcp_client_sink_pending_until_next_write():
-    from skewer_ray.sources.sockets import TcpLineSource, serve_in_thread
-    listener = TcpLineSource()
-    th, out = serve_in_thread(listener.collect, 1)
-    sink = TcpClientSink(listener.address)
+    srv, th, _lines = _tcp_peer()
+    sink = TcpClientSink(srv.getsockname())
     s1 = sink.send_rows([rec("a")])
     assert s1 == {"a": PENDING}          # no app-level ack from TCP yet
     s2 = sink.send_rows([rec("b")])
@@ -64,7 +87,38 @@ def test_tcp_client_sink_pending_until_next_write():
     # not proof of delivery (reference leave-pending semantics)
     assert sink.flush() == {"b": PENDING}
     th.join(timeout=10)
-    listener.close()
+    srv.close()
+    assert not th.is_alive()
+
+
+def _relp_peer(sock, refuse=lambda data: False, reverse=False):
+    """The server end of a RELP socketpair: answers ``open`` with its
+    offers, each ``syslog`` frame 200 (500 when ``refuse(data)``) —
+    each received run of frames in reverse txnr order when ``reverse``
+    — and ``close`` with serverclose. Returns the syslog frames read."""
+    parser = RelpStreamParser()
+    frames: list = []
+
+    def answer(run):
+        for fr in reversed(run) if reverse else run:
+            code = b"500 KO" if refuse(fr.data) else b"200 OK"
+            sock.sendall(b"%d rsp 6 %s\n" % (fr.txnr, code))
+
+    while chunk := sock.recv(65536):
+        run = []
+        for fr in parser.feed(chunk):
+            if fr.command == "open":
+                sock.sendall(b"%d rsp %d 200 OK\n%s\n"
+                             % (fr.txnr, len(fr.data) + 7, fr.data))
+            elif fr.command == "syslog":
+                frames.append(fr)
+                run.append(fr)
+            elif fr.command == "close":
+                answer(run)
+                sock.sendall(b"%d rsp 0\n0 serverclose 0\n" % fr.txnr)
+                return frames
+        answer(run)
+    return frames
 
 
 def test_relp_client_window_bounds_inflight_frames():
@@ -72,15 +126,11 @@ def test_relp_client_window_bounds_inflight_frames():
     the client drains one rsp per send past the window — without the
     bound this deadlocks (server blocked writing acks, client blocked
     in sendall)."""
-    import threading
-
-    from skewer_ray.sources.relp import serve_relp_connection
-
     srv_sock, clt_sock = socket.socketpair()
     accepted = []
 
     def run_server():
-        accepted.extend(serve_relp_connection(srv_sock, lambda fr: True))
+        accepted.extend(_relp_peer(srv_sock))
         srv_sock.close()
 
     th = threading.Thread(target=run_server)
@@ -92,29 +142,24 @@ def test_relp_client_window_bounds_inflight_frames():
     status = sink.send_rows(rows)
     sink.close()
     th.join(timeout=30)
+    assert not th.is_alive()
 
     assert len(accepted) == n
     assert all(status[f"w{i}"] == ACK for i in range(n))
 
 
 def test_relp_client_against_own_server():
-    """Full RELP loopback: our client dest talks to our server source
-    over a socketpair; server-side failures surface as per-uid NACKs
-    regardless of completion order."""
-    import threading
-
-    from skewer_ray.sources.relp import serve_relp_connection
-
+    """Full RELP loopback over a socketpair against the in-test server,
+    which answers in reverse txnr order and refuses one frame;
+    server-side failures surface as per-uid NACKs regardless of
+    completion order."""
     srv_sock, clt_sock = socket.socketpair()
     accepted = []
 
-    def process(frame) -> bool:
-        return b"REJECTME" not in frame.data
-
     def run_server():
-        accepted.extend(serve_relp_connection(
-            srv_sock, process,
-            completion_order=lambda fr: list(reversed(fr))))
+        accepted.extend(_relp_peer(
+            srv_sock, refuse=lambda data: b"REJECTME" in data,
+            reverse=True))
         srv_sock.close()
 
     th = threading.Thread(target=run_server)
@@ -125,6 +170,7 @@ def test_relp_client_against_own_server():
     status = sink.send_rows(rows)
     sink.close()
     th.join(timeout=10)
+    assert not th.is_alive()
 
     assert status == {"r1": ACK, "r2": NACK, "r3": ACK}
     assert len(accepted) == 3            # all frames reached the server
@@ -136,24 +182,54 @@ def test_relp_client_against_own_server():
 # ---------------------------------------------------------------------------
 
 
+def _http_peer(max_body: int | None = None):
+    """A ThreadingHTTPServer on a free port, serving in a thread, that
+    records each POST body and answers 201, or 400 when the body is
+    longer than ``max_body``. Returns (server, thread, bodies)."""
+    bodies: list = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *a):  # quiet test output
+            pass
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            if max_body is not None and len(body) > max_body:
+                self.send_response(400)
+            else:
+                bodies.append(body)
+                self.send_response(201)
+            self.end_headers()
+
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    th = threading.Thread(target=srv.serve_forever)
+    th.start()
+    return srv, th, bodies
+
+
+def _stop_http_peer(srv, th):
+    srv.shutdown()
+    srv.server_close()
+    th.join(timeout=10)
+    assert not th.is_alive()
+
+
 def test_http_client_sink_posts_and_acks():
     """2xx → ACK per request; encoding failure → PERMERROR without
-    touching the wire; payloads arrive intact at our own HTTP source."""
+    touching the wire; payloads arrive intact at the in-test peer."""
     from skewer_ray.encoders import encode_rfc5424
     from skewer_ray.sinks_live import HttpClientSink
-    from skewer_ray.sources.httpsource import HttpLogSource
 
-    src = HttpLogSource()
+    srv, th, bodies = _http_peer()
     rows = [rec("h1"), rec("h2", hostname="bad\nhost"), rec("h3")]
-    sink = HttpClientSink(src.address, encoder="rfc5424",
+    sink = HttpClientSink(srv.server_address, encoder="rfc5424",
                           url_template="/ingest/{hostname}",
                           useragent="skewer-ray", username="u",
                           password="p")
     status = sink.send_rows(rows)
     sink.close()
-    got = [t.decode() if isinstance(t, bytes) else t
-           for t in src.rows()["text"].to_pylist()]
-    src.close()
+    _stop_http_peer(srv, th)
+    got = [b.decode() for b in bodies]
     assert status == {"h1": ACK, "h2": PERMERROR, "h3": ACK}
     assert got == [encode_rfc5424(rows[0]), encode_rfc5424(rows[2])]
 
@@ -162,29 +238,26 @@ def test_http_client_sink_4xx_nacks_current_and_remaining():
     """Non-2xx is a dest error, not an encoding error: NACK the failed
     uid AND the unattempted tail (base.ForEach NACKRemaining)."""
     from skewer_ray.sinks_live import HttpClientSink
-    from skewer_ray.sources.httpsource import HttpLogSource
 
-    # single-message mode with a tight cap: the padded message's
-    # encoded line blows past it → 400, the short one fits
-    src = HttpLogSource(disable_multiple=True, max_message_size=120)
+    # a tight body cap: the padded message's encoded line blows past
+    # it → 400, the short one fits
+    srv, th, _bodies = _http_peer(max_body=120)
     rows = [rec("ok1", message="short"),
             rec("big", message="x" * 200), rec("never")]
-    sink = HttpClientSink(src.address)
+    sink = HttpClientSink(srv.server_address)
     status = sink.send_rows(rows)
     sink.close()
-    src.close()
+    _stop_http_peer(srv, th)
     assert status == {"ok1": ACK, "big": NACK, "never": NACK}
 
 
 def test_http_client_sink_content_type_auto():
     from skewer_ray.sinks_live import MIME_TYPES, HttpClientSink
-    from skewer_ray.sources.httpsource import HttpLogSource
-    src = HttpLogSource()
-    sink = HttpClientSink(src.address, encoder="json",
+    # the connection opens lazily on the first request: no peer needed
+    sink = HttpClientSink(("127.0.0.1", 9), encoder="json",
                           content_type="auto")
     assert sink._content_type == MIME_TYPES["json"] == "application/json"
     sink.close()
-    src.close()
 
 
 def _truncating_http_server(sock, stop):
@@ -227,8 +300,6 @@ def _truncating_http_server(sock, stop):
 def test_http_client_sink_reconnects_after_truncated_response():
     """A broken keep-alive connection NACKs its batch only: the next
     batch goes out on a fresh connection and ACKs."""
-    import threading
-
     from skewer_ray.sinks_live import HttpClientSink
 
     srv = socket.socket()
@@ -252,14 +323,58 @@ def test_http_client_sink_reconnects_after_truncated_response():
     assert second == {"t3": ACK}
 
 
+def split_datagram(data: bytes):
+    """GELF chunk header → (msg_id_hex, seq, total, payload): magic
+    1e 0f, 8-byte id, seq, count; an unchunked datagram is ("", 0, 1,
+    data)."""
+    if data[:2] == b"\x1e\x0f" and len(data) > 12:
+        return data[2:10].hex(), data[10], data[11], data[12:]
+    return "", 0, 1, data
+
+
+def inflate(payload: bytes) -> bytes:
+    if payload[:2] == b"\x1f\x8b":
+        return gzip.decompress(payload)
+    if payload[:1] == b"\x78":
+        return zlib.decompress(payload)
+    return payload
+
+
+def reassemble(datagrams) -> dict:
+    """Chunks joined per message id in seq order and inflated, one
+    message per id in arrival order: {"status": ["ok" | "incomplete"],
+    "text": [...]}."""
+    by_id: dict = {}
+    for d in datagrams:
+        mid, seq, total, payload = split_datagram(d)
+        by_id.setdefault(mid, (total, {}))[1][seq] = payload
+    out: dict = {"status": [], "text": []}
+    for total, parts in by_id.values():
+        whole = sorted(parts) == list(range(total))
+        out["status"].append("ok" if whole else "incomplete")
+        out["text"].append(inflate(b"".join(
+            parts[s] for s in sorted(parts))).decode() if whole else "")
+    return out
+
+
+def _recv_all(srv) -> list:
+    """Datagrams until none arrives for 0.5 s (5 s for the first)."""
+    datagrams = []
+    while True:
+        try:
+            srv.settimeout(0.5 if datagrams else 5)
+            datagrams.append(srv.recvfrom(65536)[0])
+        except TimeoutError:
+            return datagrams
+
+
 def test_graylog_sink_single_datagram_roundtrip():
-    """Small message → ONE gzip datagram our chunk source inflates back
-    to the exact GELF JSON."""
+    """Small message → ONE gzip datagram that inflates back to the
+    exact GELF JSON."""
     import socket as s
 
     from skewer_ray.encoders import encode_gelf
     from skewer_ray.sinks_live import GraylogClientSink
-    from skewer_ray.sources.gelf_chunks import inflate, split_datagram
 
     srv = s.socket(s.AF_INET, s.SOCK_DGRAM)
     srv.bind(("127.0.0.1", 0))
@@ -275,66 +390,44 @@ def test_graylog_sink_single_datagram_roundtrip():
     assert inflate(payload).decode() == encode_gelf(rec("g1"))
 
 
-def test_graylog_sink_chunked_reassembles_via_own_source(ray_session):
+def test_graylog_sink_chunked_reassembles_via_own_source():
     """Payload past the MTU goes out as 1e0f-framed chunks that the
-    repo's own gelf_chunks reassembly turns back into the message."""
+    in-test reassembly turns back into the message."""
     import socket as s
-
-    import ray.data as rd
 
     from skewer_ray.encoders import encode_gelf
     from skewer_ray.sinks_live import GraylogClientSink
-    from skewer_ray.sources.gelf_chunks import datagrams_to_rows, reassemble
 
     srv = s.socket(s.AF_INET, s.SOCK_DGRAM)
     srv.bind(("127.0.0.1", 0))
-    srv.settimeout(5)
     big = rec("g2", message="payload " * 400)     # ~3.2 KB
     sink = GraylogClientSink(srv.getsockname(), compress=False, mtu=600)
     status = sink.send_rows([big])
-    datagrams = []
-    while True:
-        try:
-            srv.settimeout(0.5 if datagrams else 5)
-            data, _peer = srv.recvfrom(65536)
-            datagrams.append(data)
-        except TimeoutError:
-            break
+    datagrams = _recv_all(srv)
     sink.close()
     srv.close()
     assert status == {"g2": ACK}
     assert len(datagrams) > 1                     # really chunked
-    out = reassemble(rd.from_arrow(datagrams_to_rows(datagrams))) \
-        .to_pandas()
+    out = reassemble(datagrams)
     assert list(out["status"]) == ["ok"]
     assert out["text"][0] == encode_gelf(big)
 
 
-def test_graylog_sink_redelivery_uses_fresh_chunk_id(ray_session):
+def test_graylog_sink_redelivery_uses_fresh_chunk_id():
     """Sending the same oversized record twice (a redelivery) yields two
     chunk sets with different message ids, so a receiver reassembles
     each set on its own instead of mixing their chunks."""
     import socket as s
 
-    import ray.data as rd
-
     from skewer_ray.encoders import encode_gelf
     from skewer_ray.sinks_live import GraylogClientSink
-    from skewer_ray.sources.gelf_chunks import (datagrams_to_rows,
-                                                reassemble, split_datagram)
 
     srv = s.socket(s.AF_INET, s.SOCK_DGRAM)
     srv.bind(("127.0.0.1", 0))
     big = rec("g3", message="payload " * 400)
     sink = GraylogClientSink(srv.getsockname(), compress=False, mtu=600)
     statuses = [sink.send_rows([big]), sink.send_rows([big])]
-    datagrams = []
-    while True:
-        try:
-            srv.settimeout(0.5 if datagrams else 5)
-            datagrams.append(srv.recvfrom(65536)[0])
-        except TimeoutError:
-            break
+    datagrams = _recv_all(srv)
     sink.close()
     srv.close()
     assert statuses == [{"g3": ACK}, {"g3": ACK}]
@@ -343,8 +436,7 @@ def test_graylog_sink_redelivery_uses_fresh_chunk_id(ray_session):
     assert half > 1 and len(ids) == 2 * half
     assert set(ids[:half]) != set(ids[half:])
     assert len(set(ids[:half])) == len(set(ids[half:])) == 1
-    out = reassemble(rd.from_arrow(datagrams_to_rows(datagrams))) \
-        .to_pandas()
+    out = reassemble(datagrams)
     assert list(out["status"]) == ["ok", "ok"]
     assert list(out["text"]) == [encode_gelf(big)] * 2
 
@@ -376,7 +468,6 @@ def _mini_nats_server(sock, published):
 
 def test_nats_client_sink_publishes_per_topic():
     import socket as s
-    import threading
 
     from skewer_ray.encoders import encode_rfc5424
     from skewer_ray.sinks_live import NatsClientSink
@@ -436,7 +527,6 @@ def _mini_redis_server(sock, lists):
 
 def test_redis_client_sink_rpush_and_error_ladder():
     import socket as s
-    import threading
 
     from skewer_ray.encoders import encode_rfc5424
     from skewer_ray.sinks_live import RedisClientSink

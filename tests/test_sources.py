@@ -1,5 +1,4 @@
-"""Source readers: raw-log framing (LF + RFC6587 octet-counting
-auto-detect), journald export mapping, acct(2) binary decode
+"""Source readers: journald export mapping and acct(2) binary decode
 (skewer_ray.sources; SURVEY.md §2.1)."""
 
 from __future__ import annotations
@@ -7,50 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from skewer_ray.sources import (parse_acct_records, parse_journald_export,
-                                read_accounting, read_raw_log_lines,
-                                split_frames, write_acct_fixture)
+                                read_accounting, write_acct_fixture)
 from skewer_ray.sources.accounting import comp_t_decode
-
-
-# ---------------------------------------------------------------------------
-# framing (tcp.go:273-334 semantics)
-# ---------------------------------------------------------------------------
-
-def test_lf_framing_autodetected():
-    data = b"<34>Oct 11 22:14:15 h app: one\n<35>Oct 11 22:14:16 h app: two\n"
-    fr = split_frames(data)
-    assert len(fr) == 2 and fr[0].startswith(b"<34>")
-
-
-def test_octet_counting_framing():
-    m1, m2 = b"<34>1 - - - - - - hi", b"<35>1 - - - - - - yo"
-    data = f"{len(m1)} ".encode() + m1 + f"{len(m2)} ".encode() + m2
-    assert split_frames(data) == [m1, m2]
-
-
-def test_octet_fallback_to_lf():
-    data = b"plain line one\nplain line two\n"
-    assert split_frames(data) == [b"plain line one", b"plain line two"]
-
-
-def test_read_raw_log_lines_pipeline(tmp_path, ray_session):
-    p = tmp_path / "conn0.log"
-    p.write_bytes(b"<34>Oct 11 22:14:15 host app[1]: m0\n"
-                  b"<35>Oct 11 22:14:16 host app[1]: m1\n")
-    rows = read_raw_log_lines([str(p)]).take_all()
-    assert [r["turn_idx"] for r in rows] == [0, 1]
-    assert rows[0]["conv_id"] == "conn0"
-    # frames feed the normal parse stage
-    from skewer_ray.decoders import DecoderConfig
-    from skewer_ray.stages import ParseStage
-    import pyarrow as pa
-    batch = pa.table({k: [r[k] for r in rows]
-                      for k in ("conv_id", "turn_idx", "role", "text",
-                                "tool", "ts")})
-    st = ParseStage(single=DecoderConfig(format="rfc3164"))
-    out = st(batch)
-    assert out["parse_ok"].to_pylist() == [True, True]
-    assert out["priority"].to_pylist() == [34, 35]
 
 
 # ---------------------------------------------------------------------------
@@ -111,257 +68,3 @@ def test_acct_roundtrip(tmp_path, ray_session):
     rows = read_accounting([str(p)]).take_all()
     assert len(rows) == 50
     assert rows[3]["uid"] == 1000 + (3 * 7) % 5
-
-
-# ---------------------------------------------------------------------------
-# chunked GELF reassembly (services/network/graylog.go:214-310)
-# ---------------------------------------------------------------------------
-
-def _chunked(msg_id: bytes, payload: bytes, n: int):
-    per = (len(payload) + n - 1) // n
-    return [b"\x1e\x0f" + msg_id + bytes([i, n])
-            + payload[i * per:(i + 1) * per] for i in range(n)]
-
-
-def test_gelf_chunk_reassembly(ray_session):
-    import json
-    import zlib
-    import ray.data as rd
-    from skewer_ray.sources.gelf_chunks import datagrams_to_rows, reassemble
-
-    gelf = json.dumps({"version": "1.1", "host": "h",
-                       "short_message": "chunked hello", "level": 5}).encode()
-    datagrams = _chunked(b"AAAAAAA1", zlib.compress(gelf), 3)
-    datagrams += [gelf]                                  # whole, plain
-    datagrams += _chunked(b"AAAAAAA2", zlib.compress(gelf), 3)[:2]  # missing
-    rows = datagrams_to_rows(datagrams)
-    out = reassemble(rd.from_arrow(rows)).take_all()
-    by_status = {}
-    for r in out:
-        by_status.setdefault(r["status"], []).append(r)
-    assert len(by_status["ok"]) == 2
-    assert len(by_status["incomplete"]) == 1
-    texts = {r["text"] for r in by_status["ok"]}
-    assert all(json.loads(t)["short_message"] == "chunked hello"
-               for t in texts)
-    # the reassembled text parses with the normal gelf decoder
-    from skewer_ray.decoders import DecoderConfig, RecordBuilder, get_decoder
-    b = RecordBuilder()
-    cfg = DecoderConfig(format="gelf")
-    get_decoder(cfg)(sorted(texts), [0], b, cfg)
-    assert b.parse_ok == [True] and b.message == ["chunked hello"]
-
-
-def test_tcp_socket_source_framing_parity():
-    """Real TCP connections → per-connection auto-detected framing
-    (tcp.go:273-334): an LF-framed syslog stream and an octet-counted
-    stream produce exactly the frames the batch splitter yields, one
-    conv per connection."""
-    import socket
-
-    from skewer_ray.sources.rawlog import split_frames
-    from skewer_ray.sources.sockets import TcpLineSource, serve_in_thread
-
-    src = TcpLineSource()
-    th, out = serve_in_thread(src.collect, 2)
-
-    lf_stream = b"<13>one\n<14>two\n\n  <15>three\n"
-    c1 = socket.create_connection(src.address)
-    c1.sendall(lf_stream)
-    c1.close()
-    oc_stream = b"7 <13>abc11 <14>de fg h"
-    c2 = socket.create_connection(src.address)
-    c2.sendall(oc_stream)
-    c2.close()
-    th.join(timeout=10)
-    src.close()
-    tbl = out[0]
-
-    by_conv: dict[str, list[str]] = {}
-    for r in tbl.to_pylist():
-        by_conv.setdefault(r["conv_id"], []).append(r["text"])
-    assert by_conv["tcp-0"] == [f.decode() for f in split_frames(lf_stream)]
-    assert by_conv["tcp-0"] == ["<13>one", "<14>two", "  <15>three"]
-    assert by_conv["tcp-1"] == ["<13>abc", "<14>de fg h"]
-    # rows are pipeline-shaped: same schema as read_raw_log_lines
-    assert tbl.column_names == ["conv_id", "turn_idx", "role", "text",
-                                "tool", "ts"]
-
-
-def test_udp_socket_source_datagram_per_message():
-    """One datagram = one message (udp.go); sender address keys the
-    stream."""
-    import socket
-
-    from skewer_ray.sources.sockets import UdpDatagramSource, serve_in_thread
-
-    src = UdpDatagramSource()
-    th, out = serve_in_thread(src.collect, 3)
-    s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    s.bind(("127.0.0.1", 0))
-    for msg in (b"<13>a\n", b"<14>b", b"<15>c  "):
-        s.sendto(msg, src.address)
-    th.join(timeout=10)
-    src.close()
-    s.close()
-    rows = out[0].to_pylist()
-    assert [r["text"] for r in rows] == ["<13>a", "<14>b", "<15>c"]
-    assert [r["turn_idx"] for r in rows] == [0, 1, 2]
-    assert len({r["conv_id"] for r in rows}) == 1
-
-
-def test_http_source_post_multi_and_single():
-    """Reference HTTP source semantics (httpserver.go:314-410): POST
-    only; multi mode splits on the frame delimiter; single mode takes
-    the trimmed body whole; 201 only after all messages accepted, 400
-    on empty/non-POST."""
-    import urllib.request
-    import urllib.error
-
-    from skewer_ray.sources.httpsource import HttpLogSource
-
-    src = HttpLogSource(frame_delimiter="\n")
-    host, port = src.address
-    url = f"http://{host}:{port}/logs"
-
-    def post(data: bytes):
-        req = urllib.request.Request(url, data=data, method="POST")
-        try:
-            with urllib.request.urlopen(req) as resp:
-                return resp.status
-        except urllib.error.HTTPError as e:
-            return e.code
-
-    assert post(b"<13>one\n<14>two\n\n  <15>three \n") == 201
-    assert post(b"   \n  \n") == 400            # no messages
-    # GET → 400
-    try:
-        with urllib.request.urlopen(url) as resp:
-            got = resp.status
-    except urllib.error.HTTPError as e:
-        got = e.code
-    assert got == 400
-
-    rows = src.rows().to_pylist()
-    src.close()
-    assert [r["text"] for r in rows] == ["<13>one", "<14>two", "<15>three"]
-    assert {r["conv_id"] for r in rows} == {"http-0"}
-
-    single = HttpLogSource(disable_multiple=True)
-    h2, p2 = single.address
-    url2 = f"http://{h2}:{p2}/"
-
-    def post2(data: bytes):
-        req = urllib.request.Request(url2, data=data, method="POST")
-        try:
-            with urllib.request.urlopen(req) as resp:
-                return resp.status
-        except urllib.error.HTTPError as e:
-            return e.code
-
-    assert post2(b"  <13>whole body with \n newline kept-ish  ") == 201
-    assert post2(b"") == 400
-    rows2 = single.rows().to_pylist()
-    single.close()
-    assert len(rows2) == 1   # one message per request in single mode
-    assert rows2[0]["text"] == "<13>whole body with \n newline kept-ish"
-
-
-def test_http_source_custom_delimiter_and_limits():
-    import urllib.request
-    import urllib.error
-
-    from skewer_ray.sources.httpsource import HttpLogSource
-
-    src = HttpLogSource(frame_delimiter="|", max_messages=2)
-    host, port = src.address
-    url = f"http://{host}:{port}/"
-
-    def post(data: bytes):
-        req = urllib.request.Request(url, data=data, method="POST")
-        try:
-            with urllib.request.urlopen(req) as resp:
-                return resp.status
-        except urllib.error.HTTPError as e:
-            return e.code
-
-    assert post(b"<13>a| <14>b ") == 201
-    assert post(b"<13>a|<14>b|<15>c") == 400   # too many messages
-    rows = src.rows().to_pylist()
-    src.close()
-    assert [r["text"] for r in rows] == ["<13>a", "<14>b"]
-
-
-def test_http_source_rejects_negative_content_length():
-    """Content-Length: -1 must 400 instead of blocking on read(-1)
-    until client EOF (code-review r03 finding)."""
-    import http.client
-
-    from skewer_ray.sources.httpsource import HttpLogSource
-
-    src = HttpLogSource()
-    host, port = src.address
-    conn = http.client.HTTPConnection(host, port, timeout=5)
-    conn.putrequest("POST", "/", skip_accept_encoding=True)
-    conn.putheader("Content-Length", "-1")
-    conn.endheaders()
-    resp = conn.getresponse()
-    assert resp.status == 400
-    conn.close()
-    src.close()
-
-
-def test_macos_log_stream_exec_source():
-    """Real process spawn + incremental JSON-array parse
-    (macoslogs.go:79-137): a stand-in 'log' emits the array framing in
-    dribbled chunks plus stderr noise; events come out as NDJSON lines
-    the macos decoder maps field-for-field."""
-    import json
-    import os
-    import stat
-    import sys
-    import tempfile
-
-    from skewer_ray.decoders import DecoderConfig, RecordBuilder, get_decoder
-    from skewer_ray.sources.macoslog import MacLogStreamSource
-
-    fake = os.path.join(tempfile.mkdtemp(), "fake_log")
-    with open(fake, "w") as fh:
-        fh.write(f"""#!{sys.executable}
-import sys, time
-assert sys.argv[1] == "stream" and "--style=json" in sys.argv
-assert "--level=info" in sys.argv and "--predicate=p1" in sys.argv
-print("noise on stderr", file=sys.stderr)
-sys.stdout.write("[")
-sys.stdout.flush()
-ev1 = ('{{"eventMessage":"hello","processImagePath":"/bin/app",'
-       '"processID":42,"timestamp":"2026-01-15 00:00:00.000000+0000",'
-       '"subsystem":"com.x","processUniqueID":7,"threadID":8,'
-       '"traceID":9,"activityID":10,"machTimestamp":11,'
-       '"senderProgramCounter":12}}')
-sys.stdout.write(ev1[:40])
-sys.stdout.flush()
-time.sleep(0.05)
-sys.stdout.write(ev1[40:] + ",")
-sys.stdout.flush()
-sys.stdout.write(ev1.replace("hello", "world") + "]")
-""")
-    os.chmod(fake, os.stat(fake).st_mode | stat.S_IEXEC)
-
-    errs = []
-    src = MacLogStreamSource(command=fake, level="info", predicate="p1",
-                             stderr_log=errs.append)
-    lines = list(src.stream_lines())
-    assert len(lines) == 2
-    assert errs == ["noise on stderr"]
-    msgs = [json.loads(x)["eventMessage"] for x in lines]
-    assert msgs == ["hello", "world"]
-
-    # the emitted NDJSON feeds the macos decoder (field-map parity)
-    b = RecordBuilder()
-    get_decoder(DecoderConfig(format="macos"))(
-        lines, [0] * len(lines), b, DecoderConfig(format="macos"))
-    assert b.message == ["hello", "world"]
-    assert b.appname == ["/bin/app", "/bin/app"]
-    assert b.procid == ["42", "42"]
-    assert b.parse_ok == [True, True]
