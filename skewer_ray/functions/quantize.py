@@ -158,8 +158,7 @@ def quantized_topk(emb_ds, query_ids: list[int], k: int = 5):
 # Johnson-Lindenstrauss signed random projection (exact integer form)
 # ---------------------------------------------------------------------------
 
-JL_K = 8            # projected dimensionality
-JL_SCALE = 1_000_000  # micro-unit quantization before projection
+JL_K = 8  # projected dimensionality
 
 
 def _jl_signs(dim: int, k: int) -> np.ndarray:

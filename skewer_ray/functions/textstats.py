@@ -274,8 +274,8 @@ def bm25_scores(docs_ds, terms: tuple[str, ...] = BM25_TERMS):
             for term, idf_t in idf.items():
                 tf = ws.count(term)
                 if tf:
-                    s = idf_t * (tf * 2.2) / (
-                        tf + 1.2 * (0.25 + 0.75 * (dl / avgdl)))
+                    s = idf_t * (tf * (BM25_K1 + 1)) / (
+                        tf + BM25_K1 * (1 - BM25_B + BM25_B * (dl / avgdl)))
                     o_id.append(d)
                     o_t.append(term)
                     o_tf.append(tf)

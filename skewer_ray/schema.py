@@ -57,8 +57,6 @@ RECORD_SCHEMA = pa.schema(
     ]
 )
 
-RECORD_COLUMNS = [f.name for f in RECORD_SCHEMA]
-
 
 def props_dumps(props: dict[str, dict[str, str]] | None) -> str:
     """Canonical JSON for the two-level property bag (sorted keys).

@@ -145,7 +145,14 @@ def compile_hook_source(src: str, fn_name: str):
     --config docs state this). Builtins are restricted to a small
     allowlist — enough for field logic, excluding import/open/eval-type
     escape hatches. This narrows accidents, not a determined attacker:
-    do not load untrusted configs."""
+    do not load untrusted configs.
+
+    The globals carry ``__name__`` (``<fn_name>``, like the compile
+    filename, so it names no importable module): a function whose
+    globals lack it has ``__module__ = None``, and cloudpickle then
+    probes every loaded module for it, once per function, each time a
+    Ray job pickles the config. Named, the function pickles by value
+    with no module scan."""
     import builtins
     _ALLOWED_BUILTINS = {
         n: getattr(builtins, n) for n in (
@@ -156,7 +163,7 @@ def compile_hook_source(src: str, fn_name: str):
             "tuple", "zip", "ValueError", "KeyError", "TypeError",
             "Exception", "True", "False", "None")
         if hasattr(builtins, n)}
-    env = {"FILTER": _FILTER_ENUM,
+    env = {"__name__": f"<{fn_name}>", "FILTER": _FILTER_ENUM,
            "NewEmptySyslogMessage": lambda: _Msg(_empty_rec()),
            "__builtins__": _ALLOWED_BUILTINS}
     exec(compile(src, f"<{fn_name}>", "exec"), env)
@@ -625,7 +632,19 @@ def _batch_forms(section: dict, kw: dict, per_row: HookSet) -> dict:
     return forms
 
 
-def _hookset(section: dict) -> HookSet:
+# the section keys that make up a HookSet; sections equal on them share one
+_HOOK_KEYS = ("topic_function", "topic_tmpl", "partition_key_func",
+              "partition_key_tmpl", "filter_func")
+
+
+def _hook_key(section: dict) -> tuple:
+    """The section's ``_HOOK_KEYS`` values in that order, None if unset."""
+    return tuple(section.get(k) or None for k in _HOOK_KEYS)
+
+
+def _hookset(key: tuple) -> HookSet:
+    """The HookSet of one section's ``_hook_key``."""
+    section = dict(zip(_HOOK_KEYS, key))
     kw = {}
     if section.get("topic_function"):
         kw["topic_fn"] = _topic_fn(section["topic_function"])
@@ -644,7 +663,15 @@ def _hookset(section: dict) -> HookSet:
 
 
 def config_from_toml(text_or_path: str) -> PipelineConfig:
-    """Build a PipelineConfig from skewer-style TOML (path or content)."""
+    """Build a PipelineConfig from skewer-style TOML (path or content).
+
+    Sections (``[[syslog]]`` and ``[journald]``) whose hook keys
+    (``_HOOK_KEYS``) are equal share one HookSet, as the reference caches
+    built parsers by config content (decoders/decode.go:147-172):
+    RouterStage routes them as one group, and the job pickles the hooks
+    once. Within a worker they share the Python globals of their hooks
+    too, so a hook that keeps state in a global sees every such
+    section's rows."""
     if "\n" in text_or_path or text_or_path.lstrip().startswith(("[", "#")):
         data = tomllib.loads(text_or_path)
     else:
@@ -657,6 +684,7 @@ def config_from_toml(text_or_path: str) -> PipelineConfig:
         custom_parsers[name] = _parser_fn(p["func"], name)
         register_custom_parser(name, custom_parsers[name])
 
+    hookset = functools.cache(_hookset)    # per config, not per process
     decoder_for_family: dict[int, DecoderConfig] = {}
     hooks_for: dict = {}
     for i, sec in enumerate(data.get("syslog", [])):
@@ -671,11 +699,11 @@ def config_from_toml(text_or_path: str) -> PipelineConfig:
                                                   custom_parser=fmt)
         else:
             raise ValueError(f"[[syslog]] #{i}: unknown format {fmt!r}")
-        hooks_for[i] = _hookset(sec)
+        hooks_for[i] = hookset(_hook_key(sec))
     if data.get("journald", {}).get("enabled"):
         i = len(decoder_for_family)
         decoder_for_family[i] = DecoderConfig(format="rfc3164")
-        hooks_for[i] = _hookset(data["journald"])
+        hooks_for[i] = hookset(_hook_key(data["journald"]))
 
     hooks_for[None] = next(iter(hooks_for.values())) if hooks_for else HookSet()
 

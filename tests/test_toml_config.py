@@ -154,3 +154,59 @@ def test_toml_config_runs_fused_pipeline(ray_session):
     assert (passing.topic == "zed-zedapp").all()
     froutes = out[(out.sink == "file") & (out.status == "passing")].route
     assert set(froutes) == {"zedapp-"}  # {appname}-{hostname}, empty host
+
+
+def test_toml_hooks_pickle_without_module_scan(monkeypatch):
+    """Every exec-built hook, filter and parser function has a
+    ``__module__``, so pickling the fused chain probes no module for
+    one (cloudpickle's ``_whichmodule`` scans all of ``sys.modules``
+    for each function without one)."""
+    from ray import cloudpickle
+    from ray.cloudpickle import cloudpickle as cp_impl
+    from test_route import HOOKS_TOML
+
+    from skewer_ray.pipelines.flagship import _specs
+    from skewer_ray.stages.fused import fused_task_fn
+
+    moduleless = []
+    whichmodule = cp_impl._whichmodule
+
+    def counting(obj, name):
+        if getattr(obj, "__module__", "") is None:
+            moduleless.append(name)
+        return whichmodule(obj, name)
+    monkeypatch.setattr(cp_impl, "_whichmodule", counting)
+    cloudpickle.dumps(fused_task_fn(_specs(config_from_toml(HOOKS_TOML))))
+    assert moduleless == []
+
+
+def test_equal_sections_share_one_hookset():
+    from test_route import HOOKS_TOML
+
+    from skewer_ray.stages import RouterStage
+    cfg = config_from_toml(HOOKS_TOML)
+    assert cfg.hooks[0] is cfg.hooks[11]
+    assert len(RouterStage(cfg.hooks).groups) == 1
+
+
+def test_differing_section_routes_as_its_own_group():
+    from test_route import (_FORMATS, _parsed, _per_row_only, _section,
+                            _toml)
+
+    from skewer_ray.stages import RouterStage
+    filt = '''
+def FilterMessages(msg):
+    if msg.Severity == 6:
+        return FILTER.DROPPED
+    return FILTER.PASS
+'''
+    sections = [_section(f) for f in _FORMATS]
+    sections[5] = _section(_FORMATS[5], filt=filt)
+    cfg = config_from_toml(_toml(sections))
+    assert cfg.hooks[5] is not cfg.hooks[0]
+    assert cfg.hooks[0] is cfg.hooks[11]
+    router = RouterStage(cfg.hooks)
+    assert len(router.groups) == 2
+    parsed = _parsed(cfg, 6000)
+    fast = router(parsed)
+    assert fast.equals(RouterStage(_per_row_only(cfg.hooks))(parsed))
