@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
+
+log = logging.getLogger(__name__)
 
 
 def _ensure_ray(num_cpus: int | None):
@@ -103,7 +106,7 @@ def watch_run(input_dir: str, out_dir: str, config_path: str = None,
             # config ever loaded there is nothing to run with — fatal.
             if config is None:
                 raise
-            print(f"config watch failed ({exc}); keeping current plan")
+            log.warning("config watch failed (%s); keeping current plan", exc)
             new_fp, source = fp, None
         if new_fp != fp:
             try:
@@ -111,12 +114,12 @@ def watch_run(input_dir: str, out_dir: str, config_path: str = None,
             except Exception as exc:
                 if config is None:
                     raise
-                print(f"config {new_fp[:8]} rejected ({exc}); "
-                      "keeping current plan")
+                log.warning("config %s rejected (%s); keeping current plan",
+                            new_fp[:8], exc)
             else:
                 if fp is not None:
-                    print(f"config changed ({fp[:8]} -> {new_fp[:8]}): "
-                          "rebuilding pipeline plan")
+                    log.info("config changed (%s -> %s): rebuilding "
+                             "pipeline plan", fp[:8], new_fp[:8])
                 fp, config = new_fp, new_config
         metrics = run_partitioned(input_dir, out_dir, config=config)
         n_pass += 1
@@ -148,8 +151,8 @@ def main(argv=None):
                           "not a sandbox) — only load operator-owned "
                           "configs")
     run.add_argument("--resume", action="store_true",
-                     help="partitioned run with lineage manifests; "
-                          "skips partitions already recorded done")
+                     help="resumable run with lineage manifests; "
+                          "skips input files already recorded done")
     run.add_argument("--ordered", action="store_true",
                      help="sort output by (conv_id, turn_idx) before the "
                           "partitioned write (RELP ordered-ack analogue)")
@@ -268,6 +271,9 @@ def main(argv=None):
                     ap.error("--watch requires --config or --watch-url")
                 watcher = http_kv_watcher(args.watch_url) \
                     if args.watch_url else None
+                logging.basicConfig(
+                    format="%(asctime)s %(levelname)s %(message)s")
+                log.setLevel(logging.INFO)   # plan reloads are news
                 agg = watch_run(args.input, args.out, args.config,
                                 interval=args.watch_interval,
                                 max_passes=args.watch_passes,

@@ -4,7 +4,7 @@ Mirrors the reference's per-source ``FilterSubConfig`` (conf/types.go:368-375:
 filter func, topic func/template, partition-key func/template, partition
 number func) and ``DecoderBaseConfig``, with JS hooks re-expressed as Python
 callables or ``str.format``-style template strings. Hooks are compiled once
-per config and built once per worker (store/forwarder.go:133-156's
+per config and built once per task (store/forwarder.go:133-156's
 per-ConfId env cache).
 """
 

@@ -13,13 +13,15 @@ Scale notes:
   layout: forcing more, smaller blocks than files cuts each task's input
   below PARSE_BATCH, so every task ends in a short tail batch;
 - the whole per-record path (parse+enrich+route[+fanout]) is ONE fused
-  task-pool map_batches with per-worker-cached stage state: one pass,
-  no inter-stage object-store hops (see stages/fused.py);
+  task-pool map_batches whose stage state is built once per task
+  (well under 1 ms): one pass, no inter-stage object-store hops (see
+  stages/fused.py);
 - the chain runs on PARSE_BATCH-row batches, sized to amortize its
   fixed cost per call;
 - metrics come from the written files' parquet footers, not a groupby;
-- sink writes are hive-partitioned by (sink, status, route) so reruns
-  can skip finished partitions (state/manifest.py).
+- sink writes are hive-partitioned by (sink, status, route); the
+  resumable path (state/manifest.py) writes the same layout under one
+  ``group=<g>`` dir per run.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _specs(config: PipelineConfig, hooks=None):
 
 def _fused(ds, specs):
     """Per-record path as ONE task-pool map_batches; the stage chain is
-    built once per worker (stages/fused.fused_task_fn)."""
+    built once per task (stages/fused.fused_task_fn)."""
     return ds.map_batches(fused_task_fn(specs), batch_format="pyarrow",
                           batch_size=PARSE_BATCH)
 
@@ -107,7 +109,7 @@ def run_flagship(input_path: str, out_dir: str,
 
     Returns the metrics as a pandas DataFrame (small), having written
     partitioned parquet under ``out_dir/data`` and ``out_dir/metrics``.
-    For resumable, per-partition execution with lineage records use
+    For resumable execution with per-file lineage records use
     skewer_ray.state.run_partitioned instead.
     """
     import os

@@ -3,7 +3,7 @@
 The reference's sources enrich records with metadata via SetProperty
 (services/accounting.go:91, services/filepoll.go:206). Here the
 role/tool dictionaries (north rule "lookup enrich") are broadcast once
-(small dicts serialized with the stage spec and built once per worker;
+(small dicts serialized with the stage spec and built once per task;
 for big lookup tables pass a ``ray.put`` ObjectRef and ``ray.get`` it in
 ``__init__``)
 and applied as a vectorized ``index_in``+``take`` per batch.

@@ -15,9 +15,9 @@ depend on which rows took the fast path. The output is families in
 ascending order, one contiguous table per batch.
 
 A callable class so decoder construction (registry lookup,
-custom-parser compilation) happens once per worker, not once per batch:
-the fused task-pool chain (stages/fused.py) builds it once per worker
-process and reuses it across batches.
+custom-parser compilation) happens once per task, not once per batch:
+the fused task-pool chain (stages/fused.py) builds it once per task
+and reuses it across that task's batches.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ParseStage:
     def __init__(self, decoder_for_family: dict[int, DecoderConfig] | None = None,
                  single: DecoderConfig | None = None,
                  custom_parsers: dict | None = None):
-        # user parsers are registered HERE (once per worker process) — the
+        # user parsers are registered HERE (once per task) — the
         # equivalent of compiling JS parser funcs per VM-pool entry
         # (decoders/decode.go:85-99); cloudpickle ships the callables.
         if custom_parsers:

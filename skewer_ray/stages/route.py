@@ -6,7 +6,7 @@ filter hook: DROPPED → acked-but-not-delivered, REJECTED → retry later,
 PASS → deliver (with hook mutations written back,
 javascript/vm.go:427-436), anything else → PermError. Hook environments
 are compiled once per ConfId (forwarder.go:133-156) — here the HookSet
-arrives pre-built in ``__init__``, once per worker (stages/fused.py), and
+arrives pre-built in ``__init__``, once per task (stages/fused.py), and
 is cached per conf key.
 
 One dispatcher routes every batch: rows are grouped by the HookSet their
@@ -117,7 +117,7 @@ class RouterStage:
         """``hooks``: one HookSet for the whole stream, or a dict keyed
         by conf id — the per-source family int (conv_index % 12, the
         transcript stand-in for ConfId) — with key ``None`` as the
-        fallback. Hook envs are built once per worker, selected per
+        fallback. Hook envs are built once per task, selected per
         family (store/forwarder.go:133-156)."""
         if isinstance(hooks, HookSet):
             self.hooks_for = {None: hooks}

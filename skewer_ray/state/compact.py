@@ -1,8 +1,9 @@
 """Small-file compaction for partitioned Parquet output.
 
 Long-running resumable jobs (state/manifest.run_partitioned, the
-hive-partitioned fan-out sinks) accumulate many small files: one per
-write task per restart. At 100 TB the file COUNT becomes its own
+hive-partitioned fan-out sinks) accumulate many small files: each run
+or restart writes its new input files as one more ``group=<g>`` tree,
+with one file per write task in each of its leaves. At 100 TB the file COUNT becomes its own
 bottleneck — listing, footer reads and downstream `read_parquet`
 task-per-fragment scheduling all scale with it. Compaction rewrites a
 leaf directory's fragments into ~``target_rows``-row files.

@@ -1,24 +1,29 @@
-"""Per-partition lineage + idempotent resume.
+"""Per-file lineage + idempotent resume, one write group per run.
 
 The reference's durable store tracks each message through
 ready → sent → {deleted(ACK), failed(NACK), permerrors} per destination
 (store/store.go:141-192, 1326-1471) and, on restart, moves stuck
 ``sent`` messages back to ``ready`` (store/store.go:887-941) so delivery
-is at-least-once and restart-safe.
+is at-least-once and restart-safe. It acks a whole store batch at once
+(store/store.go:1180-1324).
 
-Batch equivalent: the unit of work is an input shard (one source parquet
-file = one partition). Each completed partition writes an atomic
-manifest ``_lineage/part-<id>.json`` (write-tmp + rename) recording
-input rows and per-(sink,status,route) counts — the ACK/NACK/PermError
-accounting. A rerun:
+Batch equivalent: the unit of ACK is a *group* — every input file a run
+finds without a manifest, written together by one ``write_parquet``
+under ``out/data/group=<g>/sink=<s>/status=<st>/route=<r>/``. Each
+source file keeps its own ``part_id`` (a data column of every output
+row) and its own atomic manifest ``_lineage/part-<id>.json`` (write-tmp
++ rename) recording input rows, per-(sink,status,route) counts, the
+group and the group's file list — the ACK/NACK/PermError accounting.
+Manifests land only after the whole group is written, so a rerun:
 
-- skips partitions whose manifest says done (idempotent restart);
-- deletes orphan output dirs for partitions WITHOUT a manifest (the
-  "sent but never acked" analogue) and reprocesses them.
+- skips a group whose files all have manifests (idempotent restart);
+- deletes a group missing any manifest — its dir and its surviving
+  manifests, the "sent but never acked" analogue — and redoes its files
+  together with any new ones;
+- deletes output dirs that no manifest claims.
 
-Output layout: ``out/data/part_id=<p>/sink=<s>/status=<st>/route=<r>/``
-— hive-partitioned so a resumed run replaces whole partition dirs and
-per-sink consumers can prune at the directory level.
+A manifest written before groups (no ``group``) reads as a one-file
+group stored at ``data/part_id=<p>/``, so older outputs resume in place.
 
 REJECTED rows (filter NACK, store/forwarder.go:197-199) are data, not
 job failures: they land under ``status=rejected`` and are re-dispatched
@@ -45,10 +50,20 @@ class PartitionManifest:
     n_in: int
     counts: dict = field(default_factory=dict)  # "sink/status/route" -> rows
     status: str = "done"
+    group: int | None = None    # None: written before groups
+    group_files: list = field(default_factory=list)
 
     @property
     def n_out(self) -> int:
         return sum(self.counts.values())
+
+    @property
+    def group_dir(self) -> str:
+        """The group's dir under ``data/``; a manifest from before groups
+        is a one-file group at ``part_id=<p>``."""
+        if self.group is None:
+            return f"part_id={self.part_id}"
+        return f"group={self.group}"
 
 
 def _lineage_dir(out_dir: str) -> str:
@@ -65,7 +80,7 @@ def _write_manifest(out_dir: str, m: PartitionManifest) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(asdict(m), fh, indent=1)
-    os.rename(tmp, path)  # atomic: manifest present ⇒ partition complete
+    os.rename(tmp, path)  # atomic: manifest present ⇒ file acked
 
 
 def load_manifests(out_dir: str) -> dict[int, PartitionManifest]:
@@ -132,9 +147,23 @@ def hive_counts(data_dir: str, keys: tuple[str, ...]) -> dict[tuple, int]:
 _SINK_KEY = ("sink", "status", "route")
 
 
-def _count_written(part_dir: str) -> dict[str, int]:
-    """Rows per "sink/status/route" under one dir (footers only)."""
-    return {"/".join(k): n for k, n in hive_counts(part_dir, _SINK_KEY).items()}
+def _group_counts(group_dir: str) -> dict[int, dict[str, int]]:
+    """part_id → {"sink/status/route": rows} under one group dir, from one
+    scan of the written ``part_id`` column and the hive keys."""
+    import pyarrow.dataset as pds
+    if not os.path.isdir(group_dir):
+        return {}   # zero rows written
+    keys = pds.HivePartitioning(
+        pa.schema([(k, pa.string()) for k in _SINK_KEY]),
+        segment_encoding="none")   # raw dir names, as hive_counts reads them
+    t = (pds.dataset(group_dir, format="parquet", partitioning=keys)
+         .to_table(columns=["part_id", *_SINK_KEY])
+         .group_by(["part_id", *_SINK_KEY]).aggregate([([], "count_all")]))
+    out: dict[int, dict[str, int]] = {}
+    for r in t.to_pylist():
+        key = "/".join(r[k] for k in _SINK_KEY)
+        out.setdefault(r["part_id"], {})[key] = r["count_all"]
+    return out
 
 
 def _split_key(key: str) -> tuple[str, str, str]:
@@ -144,83 +173,89 @@ def _split_key(key: str) -> tuple[str, str, str]:
     return parts[0], parts[1], parts[2] if len(parts) == 3 else "-"
 
 
+def _drop_unacked(out_dir: str, done: dict[int, PartitionManifest]) -> None:
+    """Crash recovery (store/store.go:887-941 analogue): a group missing
+    any of its files' manifests was sent but never acked — remove its
+    surviving manifests (from ``done`` too), then every dir under
+    ``data/`` that no remaining manifest claims."""
+    by_dir: dict[str, list[PartitionManifest]] = {}
+    for m in done.values():
+        by_dir.setdefault(m.group_dir, []).append(m)
+    for ms in by_dir.values():
+        if {m.input_file for m in ms} >= set(ms[0].group_files
+                                              or [ms[0].input_file]):
+            continue
+        for m in ms:
+            os.remove(_manifest_path(out_dir, m.part_id))
+            del done[m.part_id]
+    data_dir = os.path.join(out_dir, "data")
+    if not os.path.isdir(data_dir):
+        return
+    acked = {m.group_dir for m in done.values()}
+    for d in os.listdir(data_dir):
+        if d.startswith(("group=", "part_id=")) and d not in acked:
+            shutil.rmtree(os.path.join(data_dir, d))
+
+
 def run_partitioned(input_path: str, out_dir: str,
                     config=None) -> "pd.DataFrame":
     """Resumable flagship run. Returns the per-(part,sink,status,route)
-    counts (small pandas frame); partitions already recorded done are
-    skipped.
+    counts (small pandas frame); files in fully acked groups are
+    skipped, and every other input file is written as one new group.
 
     Done-ness is keyed on the input FILE identity (the manifest's
     ``input_file``), never on its position in the sorted listing: under
     incremental ingestion a new file may sort BEFORE already-processed
     ones, and an index-keyed skip would then mark the new file done and
     redo an old one under a shifted id. Known files keep their
-    manifested part_id; unseen files get fresh ids past the current
-    max (first run: ids 0..n-1 in sorted order, as before)."""
+    manifested part_id; unseen files get the smallest free ids (first
+    run: ids 0..n-1 in sorted order)."""
     import pandas as pd
+    import pyarrow.parquet as pq
+
     from ..metrics_export import write_sink_counts
-    from ..pipelines.flagship import build_fanout
+    from ..pipelines.flagship import TRANSCRIPT_COLUMNS, build_fanout
 
     files = _list_input_files(input_path)
     done = load_manifests(out_dir)
-    done_by_file = {os.path.realpath(m.input_file): m for m in done.values()}
+    _drop_unacked(out_dir, done)
+    done_files = {os.path.realpath(m.input_file) for m in done.values()}
     # unseen files fill the smallest unmanifested ids in sorted-file
-    # order (so a crash-lost partition reclaims its old id and a truly
-    # new file extends past the max) — deterministic and collision-free
-    id_for_file: dict[str, int] = {}
+    # order (so a crash-lost file reclaims its old id and a truly new
+    # file extends past the max) — deterministic and collision-free
+    todo: list[tuple[int, str]] = []
     next_free = 0
     for f in files:
-        if f in done_by_file:
-            id_for_file[f] = done_by_file[f].part_id
-        else:
+        if f not in done_files:
             while next_free in done:
                 next_free += 1
-            id_for_file[f] = next_free
+            todo.append((next_free, f))
             next_free += 1
-    todo = [(id_for_file[f], f) for f in files if f not in done_by_file]
-
-    data_dir = os.path.join(out_dir, "data")
-    # crash recovery: output dirs without a manifest are "sent, never
-    # acked" — drop and redo them (store/store.go:887-941 analogue);
-    # dirs backed by neither a manifest nor this run's plan are stale
-    # (an id reassigned across crashes) and are dropped too
-    valid = set(done) | {i for i, _f in todo}
-    if os.path.isdir(data_dir):
-        for d in os.listdir(data_dir):
-            if d.startswith("part_id="):
-                try:
-                    pid = int(d.split("=", 1)[1])
-                except ValueError:
-                    continue
-                if pid not in valid:
-                    shutil.rmtree(os.path.join(data_dir, d))
-    for i, _f in todo:
-        orphan = os.path.join(data_dir, f"part_id={i}")
-        if os.path.isdir(orphan):
-            shutil.rmtree(orphan)
 
     if todo:
-        in_counts = {}
-        import pyarrow.parquet as pq
-        for i, f in todo:
-            in_counts[i] = pq.ParquetFile(f).metadata.num_rows
-        ds = rd.read_parquet([f for _i, f in todo], include_paths=True)
+        used = {m.group for m in done.values()}
+        group = next(g for g in range(len(used) + 1) if g not in used)
+        group_dir = os.path.join(out_dir, "data", f"group={group}")
+        group_files = [f for _i, f in todo]
+        ds = rd.read_parquet(group_files, columns=TRANSCRIPT_COLUMNS,
+                             include_paths=True)
         ds = ds.map_batches(_part_id_of_path({f: i for i, f in todo}),
                             batch_format="pyarrow")
-        fan = build_fanout(ds, config)
-        fan.write_parquet(data_dir,
-                          partition_cols=["part_id", *_SINK_KEY],
-                          min_rows_per_file=10_000)
+        build_fanout(ds, config).write_parquet(
+            group_dir, partition_cols=list(_SINK_KEY),
+            min_rows_per_file=10_000)
         # lineage counts from the written bytes (what actually landed),
-        # not the in-flight stream — the ack is the row's presence.
-        # Parquet footer metadata only: no data pages are read.
+        # not the in-flight stream — the ack is the row's presence
+        counts = _group_counts(group_dir)
         for i, f in todo:
-            counts = _count_written(os.path.join(data_dir, f"part_id={i}"))
             _write_manifest(out_dir, PartitionManifest(
-                part_id=i, input_file=f, n_in=in_counts[i], counts=counts))
+                part_id=i, input_file=f,
+                n_in=pq.ParquetFile(f).metadata.num_rows,
+                counts=counts.get(i, {}), group=group,
+                group_files=group_files))
 
     # final metrics reduce over ALL manifests (metrics/metrics.go:38-75's
-    # gather, re-expressed as a union of per-partition lineage rows)
+    # gather, re-expressed as a union of per-file lineage rows)
     metrics = pd.DataFrame(
         [(m.part_id, *_split_key(key), n)
          for m in load_manifests(out_dir).values()
@@ -282,7 +317,7 @@ def retry_rejected(out_dir: str, config=None, hooks=None) -> int:
         batch_format="pyarrow")
     passing.write_parquet(dest, partition_cols=list(_SINK_KEY))
     os.makedirs(dest, exist_ok=True)  # zero passing rows → nothing written
-    n = sum(_count_written(dest).values())
+    n = sum(hive_counts(dest, _SINK_KEY).values())
     with open(os.path.join(dest, "_manifest.json"), "w") as fh:
         json.dump({"attempt": n_prev, "rows_delivered": int(n)}, fh)
     return int(n)

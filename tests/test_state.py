@@ -5,6 +5,7 @@ store/store.go:1326-1471, 887-941)."""
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 
@@ -30,6 +31,36 @@ def small_input(tmp_path):
     return str(d)
 
 
+def _file_mtimes(d: str) -> dict[str, float]:
+    return {os.path.join(r, f): os.path.getmtime(os.path.join(r, f))
+            for r, _d, fs in os.walk(d) for f in fs}
+
+
+def _parquet_files(out: str) -> list[str]:
+    return [os.path.join(r, f)
+            for r, _d, fs in os.walk(os.path.join(out, "data"))
+            for f in fs if f.endswith(".parquet")]
+
+
+def _sink_counts(out: str) -> list[dict]:
+    with open(os.path.join(out, "metrics", "sink_counts.json")) as fh:
+        return json.load(fh)
+
+
+def _hold_back(input_dir: str, names: list[str], tmp_path):
+    """Move ``names`` out of ``input_dir``; the returned call moves them
+    back (files that arrive after a run)."""
+    held = tmp_path / "held"
+    held.mkdir(exist_ok=True)
+    for n in names:
+        os.rename(os.path.join(input_dir, n), held / n)
+
+    def arrive():
+        for n in names:
+            os.rename(held / n, os.path.join(input_dir, n))
+    return arrive
+
+
 def test_run_partitioned_counts_match_flagship(small_input, tmp_path, ray_session):
     out = str(tmp_path / "out")
     metrics = run_partitioned(small_input, out)
@@ -48,12 +79,35 @@ def test_run_partitioned_counts_match_flagship(small_input, tmp_path, ray_sessio
     from skewer_ray.pipelines.flagship import run_flagship
     flat = str(tmp_path / "flat")
     run_flagship(small_input, flat)
-
-    def sink_counts(d):
-        with open(os.path.join(d, "metrics", "sink_counts.json")) as fh:
-            return json.load(fh)
-    assert sink_counts(out) == sink_counts(flat)
+    assert _sink_counts(out) == _sink_counts(flat)
     assert not os.path.exists(os.path.join(flat, "metrics", "summary.json"))
+    # the three files write as one group, not one tree each
+    assert os.listdir(os.path.join(out, "data")) == ["group=0"]
+    assert len(_parquet_files(out)) <= len(_parquet_files(flat))
+
+
+def test_both_run_paths_write_the_same_columns(small_input, tmp_path,
+                                               ray_session):
+    """An input column the chain does not use reaches neither run path's
+    output: both read only the transcript columns. The resumable path
+    adds only its ``part_id`` data column."""
+    import pyarrow as pa
+
+    from skewer_ray.pipelines.flagship import run_flagship
+    d = tmp_path / "in-lang"
+    d.mkdir()
+    for n in sorted(os.listdir(small_input)):
+        t = pq.read_table(os.path.join(small_input, n))
+        pq.write_table(t.append_column("lang", pa.array(["en"] * len(t))),
+                       d / n)
+    part, flat = str(tmp_path / "part"), str(tmp_path / "flat")
+    run_partitioned(str(d), part)
+    run_flagship(str(d), flat)
+
+    def columns(out):
+        return {c for f in _parquet_files(out) for c in pq.read_schema(f).names}
+    assert "lang" not in columns(flat) | columns(part)
+    assert columns(part) == columns(flat) | {"part_id"}
 
 
 def test_resume_through_symlinked_input_redoes_nothing(
@@ -73,26 +127,139 @@ def test_resume_through_symlinked_input_redoes_nothing(
 
 
 def test_resume_skips_done_and_redoes_orphans(small_input, tmp_path, ray_session):
+    """Two runs make two groups. A crash inside group 1 (one of its
+    manifests lost, its data half-written) redoes all of group 1 and
+    leaves group 0 untouched."""
     out = str(tmp_path / "out")
-    m1 = run_partitioned(small_input, out)
-    # simulate a crash on partition 1: manifest lost, data half-written
-    os.remove(os.path.join(out, "_lineage", "part-00001.json"))
-    part_dir = os.path.join(out, "data", "part_id=1")
-    shutil.rmtree(os.path.join(part_dir, "sink=stderr"))  # partial output
+    names = sorted(os.listdir(small_input))
+    arrive = _hold_back(small_input, names[1:], tmp_path)
+    run_partitioned(small_input, out)                # group 0: file 0
+    arrive()
+    m1 = run_partitioned(small_input, out)           # group 1: files 1, 2
+    ms = load_manifests(out)
+    assert [ms[i].group for i in (0, 1, 2)] == [0, 1, 1]
+    assert ms[1].group_files == ms[2].group_files \
+        == [os.path.join(os.path.realpath(small_input), n)
+            for n in names[1:]]
 
-    done_file = os.path.join(out, "data", "part_id=0")
-    mtime_before = max(os.path.getmtime(os.path.join(r, f))
-                       for r, _d, fs in os.walk(done_file) for f in fs)
+    os.remove(os.path.join(out, "_lineage", "part-00001.json"))
+    group1 = os.path.join(out, "data", "group=1")
+    shutil.rmtree(os.path.join(group1, "sink=stderr"))  # partial output
+    survivor = os.path.join(out, "_lineage", "part-00002.json")
+    os.utime(survivor, (0, 0))
+    group0 = os.path.join(out, "data", "group=0")
+    mtimes_before = _file_mtimes(group0)
     m2 = run_partitioned(small_input, out)
-    # part 0 untouched (resume skipped it)
-    mtime_after = max(os.path.getmtime(os.path.join(r, f))
-                      for r, _d, fs in os.walk(done_file) for f in fs)
-    assert mtime_after == mtime_before
-    # part 1 fully rebuilt, totals identical to the first run
-    assert os.path.isdir(os.path.join(part_dir, "sink=stderr"))
-    a1 = m1.groupby(["sink", "status"])["n"].sum().to_dict()
-    a2 = m2.groupby(["sink", "status"])["n"].sum().to_dict()
+    # group 0 untouched (resume skipped it)
+    assert _file_mtimes(group0) == mtimes_before
+    # group 1 fully rebuilt, its surviving manifest rewritten, totals
+    # identical to the first run
+    assert os.path.isdir(os.path.join(group1, "sink=stderr"))
+    assert os.path.getmtime(survivor) > 0
+    ms = load_manifests(out)
+    assert [ms[i].group for i in (0, 1, 2)] == [0, 1, 1]
+    a1 = m1.groupby(["sink", "status", "route"])["n"].sum().to_dict()
+    a2 = m2.groupby(["sink", "status", "route"])["n"].sum().to_dict()
     assert a1 == a2
+
+
+def test_crash_mid_group_then_new_files_arrive(small_input, tmp_path,
+                                               ray_session, monkeypatch):
+    """A run dies between the manifests of its group, and a file that
+    sorts first arrives before the resume. The resume keeps the acked
+    group untouched, redoes the broken group's files together with the
+    new one as one group, and ends with a clean run's counts."""
+    import skewer_ray.state.manifest as M
+
+    class Crash(Exception):
+        pass
+
+    out = str(tmp_path / "out")
+    names = sorted(os.listdir(small_input))
+    arrive = _hold_back(small_input, names[1:], tmp_path)
+    run_partitioned(small_input, out)                # group 0: file 0
+    arrive()
+    write_manifest = M._write_manifest
+
+    def dying(out_dir, m):
+        write_manifest(out_dir, m)
+        raise Crash
+    monkeypatch.setattr(M, "_write_manifest", dying)
+    with pytest.raises(Crash):
+        run_partitioned(small_input, out)            # group 1 dies
+    monkeypatch.setattr(M, "_write_manifest", write_manifest)
+    assert sorted(load_manifests(out)) == [0, 1]
+    assert os.path.isdir(os.path.join(out, "data", "group=1"))
+
+    t = pq.read_table(os.path.join(small_input, names[0]))
+    newfile = os.path.join(small_input, "aaa-new-arrival.parquet")
+    pq.write_table(t.slice(0, 500), newfile)
+    group0 = os.path.join(out, "data", "group=0")
+    mtimes_before = _file_mtimes(group0)
+    run_partitioned(small_input, out)
+    assert _file_mtimes(group0) == mtimes_before
+    ms = load_manifests(out)
+    assert sorted(ms) == [0, 1, 2, 3]
+    by_group = {}
+    for m in ms.values():
+        by_group.setdefault(m.group, set()).add(os.path.basename(m.input_file))
+    assert by_group == {0: {names[0]},
+                        1: {"aaa-new-arrival.parquet", *names[1:]}}
+    assert sorted(os.listdir(os.path.join(out, "data"))) \
+        == ["group=0", "group=1"]
+
+    clean = str(tmp_path / "clean")
+    run_partitioned(small_input, clean)
+    assert _sink_counts(out) == _sink_counts(clean)
+    assert sum(m.n_in for m in ms.values()) == 6006 + 500
+
+
+def test_resume_keeps_outputs_written_before_groups(small_input, tmp_path,
+                                                   ray_session):
+    """An output from before groups has one ``data/part_id=<p>/`` tree per
+    file and manifests without group fields. Each reads as an acked
+    one-file group: a resume after a new file arrives leaves those trees
+    as they are and writes the new file as a group of its own."""
+    import pyarrow as pa
+    import pyarrow.dataset as pds
+
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    data = os.path.join(out, "data")
+    keys = pds.HivePartitioning(
+        pa.schema([(k, pa.string()) for k in ("sink", "status", "route")]),
+        segment_encoding="none")
+    rows = pds.dataset(os.path.join(data, "group=0"), format="parquet",
+                       partitioning=keys).to_table()
+    shutil.rmtree(data)
+    pq.write_to_dataset(rows, data,
+                        partition_cols=["part_id", "sink", "status", "route"])
+    for f in os.listdir(os.path.join(out, "_lineage")):
+        path = os.path.join(out, "_lineage", f)
+        with open(path) as fh:
+            m = json.load(fh)
+        del m["group"], m["group_files"]
+        with open(path, "w") as fh:
+            json.dump(m, fh)
+    assert sorted(os.listdir(data)) == [f"part_id={i}" for i in range(3)]
+
+    first = sorted(os.listdir(small_input))[0]
+    t = pq.read_table(os.path.join(small_input, first))
+    pq.write_table(t.slice(0, 500),
+                   os.path.join(small_input, "zzz-new-arrival.parquet"))
+    mtimes_before = _file_mtimes(data)
+    run_partitioned(small_input, out)
+    mtimes_after = _file_mtimes(data)
+    assert {p: mt for p, mt in mtimes_after.items()
+            if "group=" not in p} == mtimes_before
+    assert sorted(os.listdir(data)) \
+        == ["group=0"] + [f"part_id={i}" for i in range(3)]
+    ms = load_manifests(out)
+    assert [ms[i].group for i in range(4)] == [None, None, None, 0]
+
+    clean = str(tmp_path / "clean")
+    run_partitioned(small_input, clean)
+    assert _sink_counts(out) == _sink_counts(clean)
 
 
 def test_manifest_without_route_reads_as_dash(small_input, tmp_path,
@@ -237,7 +404,7 @@ def test_prometheus_metrics_export(tmp_path):
     assert open(p).read() == text
 
 
-def test_watch_run_hot_config_reload(tmp_path, monkeypatch, capsys):
+def test_watch_run_hot_config_reload(tmp_path, monkeypatch, caplog):
     """Batch SIGHUP (cmd/serve.go:788-827): watch_run re-hashes the TOML
     between passes and rebuilds the pipeline plan exactly when the
     config bytes change; unchanged passes reuse the loaded plan."""
@@ -264,17 +431,18 @@ def test_watch_run_hot_config_reload(tmp_path, monkeypatch, capsys):
                              "n": [1]})
 
     monkeypatch.setattr("skewer_ray.state.run_partitioned", fake_run)
+    caplog.set_level(logging.INFO, logger="skewer_ray.cli")
     agg = cli.watch_run("in", "out", str(cfg_path), interval=0.01,
                         max_passes=3)
     # pass 1 loads plan 1; pass 2 sees the changed hash → plan 2;
     # pass 3 hash unchanged → plan 2 reused (no third load)
     assert runs == [1, 2, 2]
     assert len(loads) == 2
-    assert "rebuilding pipeline plan" in capsys.readouterr().out
+    assert "rebuilding pipeline plan" in caplog.text
     assert list(agg.columns) == ["sink", "status", "n"]
 
 
-def test_watch_run_pluggable_http_kv_watcher(monkeypatch, capsys):
+def test_watch_run_pluggable_http_kv_watcher(monkeypatch, caplog):
     """Consul-style key watch (consul/dynamicconf.go) through the
     pluggable watcher: a local HTTP KV endpoint serves the TOML with a
     version header; bumping the key mid-run rebuilds the plan exactly
@@ -319,6 +487,7 @@ def test_watch_run_pluggable_http_kv_watcher(monkeypatch, capsys):
 
     monkeypatch.setattr("skewer_ray.state.run_partitioned", fake_run)
     url = f"http://127.0.0.1:{srv.server_address[1]}/v1/kv/skewer/conf"
+    caplog.set_level(logging.INFO, logger="skewer_ray.cli")
     agg = cli.watch_run("in", "out", interval=0.01, max_passes=3,
                         watcher=cli.http_kv_watcher(url))
     srv.shutdown()
@@ -328,12 +497,12 @@ def test_watch_run_pluggable_http_kv_watcher(monkeypatch, capsys):
     assert len(loads) == 2
     # the TOML reached the loader as TEXT fetched from the endpoint
     assert loads[1].startswith("[[syslog]]") and "9999" in loads[1]
-    assert "rebuilding pipeline plan" in capsys.readouterr().out
+    assert "rebuilding pipeline plan" in caplog.text
     assert list(agg.columns) == ["sink", "status", "n"]
 
 
 def test_watch_run_keeps_last_good_plan_on_invalid_config(monkeypatch,
-                                                          capsys):
+                                                          caplog):
     """A fetched config that fails to load must not kill the watch: the
     pass runs on the last-good plan, and a later valid config (a new
     fingerprint) still reloads."""
@@ -353,23 +522,24 @@ def test_watch_run_keeps_last_good_plan_on_invalid_config(monkeypatch,
                              "n": [1]})
 
     monkeypatch.setattr("skewer_ray.state.run_partitioned", fake_run)
+    caplog.set_level(logging.INFO, logger="skewer_ray.cli")
     agg = cli.watch_run("in", "out", interval=0.01, max_passes=3,
                         watcher=lambda: next(served))
     # pass 2 keeps plan 1; pass 3's fixed config reloads
     assert runs == ["rfc5424", "rfc5424", "rfc3164"]
-    out = capsys.readouterr().out
-    assert "config v2 rejected" in out and "keeping current plan" in out
-    assert "config changed (v1 -> v3)" in out
+    assert "config v2 rejected" in caplog.text
+    assert "keeping current plan" in caplog.text
+    assert "config changed (v1 -> v3)" in caplog.text
     assert list(agg.columns) == ["sink", "status", "n"]
 
 
 def test_sigkill_mid_run_then_resume_matches_clean_run(
         small_input, tmp_path, ray_session):
     """Chaos drill (store/store.go:887-941 recovery): SIGKILL the
-    process the instant the FIRST partition manifest lands — partition
-    0 is durably acked, partitions 1/2 are written-but-unmanifested
-    orphans. A resume must skip part 0 untouched, drop + redo the
-    orphans, and end with counts identical to a clean run."""
+    process the instant the FIRST file manifest lands — the group is
+    written, but files 1/2 have no manifest, so the group is not acked.
+    A resume must drop the group with its one manifest, redo all three
+    files, and end with counts identical to a clean run."""
     import signal
     import subprocess
     import sys
@@ -395,19 +565,17 @@ run_partitioned({repr(small_input)}, {repr(out)})
                           capture_output=True, timeout=300)
     assert proc.returncode == -signal.SIGKILL
 
-    # exactly one durable manifest; the other partitions left orphan
-    # data dirs (sent, never acked)
+    # exactly one durable manifest; the group's data is written (sent,
+    # never acked)
     ms = load_manifests(out)
     assert sorted(ms) == [0]
-    lineage0 = os.path.join(out, "_lineage", "part-00000.json")
-    before = open(lineage0).read()
-    assert os.path.isdir(os.path.join(out, "data", "part_id=1"))
+    assert os.path.isdir(os.path.join(out, "data", "group=0"))
 
-    # resume: part 0 skipped byte-identical, orphans redone
+    # resume: the whole group redone
     metrics = run_partitioned(small_input, out)
     ms = load_manifests(out)
     assert sorted(ms) == [0, 1, 2]
-    assert open(lineage0).read() == before
+    assert {m.group for m in ms.values()} == {0}
     agg = metrics.groupby(["sink", "status"])["n"].sum().to_dict()
     assert agg[("kafka", "passing")] == 5417
     assert agg[("file", "dropped")] == 500
@@ -420,8 +588,8 @@ def test_incremental_ingest_new_file_sorting_first(
         small_input, tmp_path, ray_session):
     """Incremental ingestion (the batch tail -f): a file that arrives
     AFTER the first run — and sorts BEFORE every existing input — must
-    be processed as a NEW partition while the three manifested
-    partitions are skipped untouched. An index-keyed resume gets this
+    be processed as a NEW file in a new group while the acked group of
+    the three manifested files is skipped untouched. An index-keyed resume gets this
     wrong (the new file would inherit part 0's done-ness)."""
     out = str(tmp_path / "out")
     m1 = run_partitioned(small_input, out)
@@ -433,20 +601,18 @@ def test_incremental_ingest_new_file_sorting_first(
     newfile = os.path.join(small_input, "aaa-new-arrival.parquet")
     pq.write_table(t.slice(0, 500), newfile)
 
-    done_dir = os.path.join(out, "data", "part_id=0")
-    mtime_before = max(os.path.getmtime(os.path.join(r, f))
-                       for r, _d, fs in os.walk(done_dir) for f in fs)
+    done_dir = os.path.join(out, "data", "group=0")
+    mtimes_before = _file_mtimes(done_dir)
     m2 = run_partitioned(small_input, out)
     ms = load_manifests(out)
-    # old parts untouched, the new file landed as part 3
+    # old parts untouched, the new file landed as part 3 in group 1
     assert sorted(ms) == [0, 1, 2, 3]
     assert ms[3].input_file == newfile and ms[3].n_in == 500
+    assert ms[3].group == 1 and ms[3].group_files == [newfile]
     assert {os.path.basename(ms[i].input_file) for i in (0, 1, 2)} \
         == {os.path.basename(f) for f in sorted(os.listdir(small_input))
             if f != "aaa-new-arrival.parquet"}
-    mtime_after = max(os.path.getmtime(os.path.join(r, f))
-                      for r, _d, fs in os.walk(done_dir) for f in fs)
-    assert mtime_after == mtime_before
+    assert _file_mtimes(done_dir) == mtimes_before
     # totals = first-run totals + the new partition's own counts
     a1 = m1.groupby(["sink", "status"])["n"].sum().to_dict()
     a2 = m2.groupby(["sink", "status"])["n"].sum().to_dict()
