@@ -4,7 +4,7 @@
 Usage (also via ``python -m skewer_ray``):
 
     python -m skewer_ray run --input /root/testdata/sf0.001 --out /tmp/out
-    python -m skewer_ray run --input ... --out ... --resume     # skip done partitions
+        # rerun into the same --out: writes only input files not yet acked
     python -m skewer_ray retry --out /tmp/out                   # re-dispatch rejected
     python -m skewer_ray counts --out /tmp/out                  # print sink counts
 
@@ -150,12 +150,6 @@ def main(argv=None):
                           "Python in-process (restricted builtins, but "
                           "not a sandbox) — only load operator-owned "
                           "configs")
-    run.add_argument("--resume", action="store_true",
-                     help="resumable run with lineage manifests; "
-                          "skips input files already recorded done")
-    run.add_argument("--ordered", action="store_true",
-                     help="sort output by (conv_id, turn_idx) before the "
-                          "partitioned write (RELP ordered-ack analogue)")
     run.add_argument("--test", action="store_true",
                      help="print the first parsed/routed records instead "
                           "of delivering (skewer serve --test, "
@@ -167,9 +161,8 @@ def main(argv=None):
                           "passes, re-reading --config between passes; a "
                           "changed config hash rebuilds the whole plan "
                           "(the reference restarts every controller). "
-                          "Requires --config; implies --resume so "
-                          "partitions finished under the old plan are "
-                          "not redone")
+                          "Requires --config; files finished under the "
+                          "old plan are not redone")
     run.add_argument("--watch-interval", type=float, default=5.0,
                      help="seconds between watch passes")
     run.add_argument("--watch-passes", type=int, default=0,
@@ -212,10 +205,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.cmd == "run" and not args.test and not args.out:
         ap.error("run requires --out (unless --test)")
-    if args.cmd == "run" and args.ordered and (
-            args.resume or args.watch or args.watch_url):
-        ap.error("--ordered applies to a plain run only, not to "
-                 "--resume or --watch")
 
     if args.cmd == "counts":
         path = os.path.join(args.out, "metrics", "sink_counts.json")
@@ -280,16 +269,8 @@ def main(argv=None):
                                 watcher=watcher)
                 print(agg.to_string(index=False))
                 return 0
-            if args.resume:
-                from .state import run_partitioned
-                metrics = run_partitioned(args.input, args.out,
-                                          config=config)
-                agg = (metrics.groupby(["sink", "status"])["n"].sum()
-                       .reset_index())
-            else:
-                from .pipelines.flagship import run_flagship
-                agg = run_flagship(args.input, args.out, config=config,
-                                   ordered=args.ordered)
+            from .pipelines.flagship import run_flagship
+            agg = run_flagship(args.input, args.out, config=config)
             print(agg.to_string(index=False))
         elif args.cmd == "retry":
             from .state import retry_rejected

@@ -7,8 +7,11 @@ Semantics: decoders/json_format.go:13-98 + model/types.go:210-242
 
 Deviation: an rsyslog ``pri`` outside int32, or a time outside int64
 nanoseconds, is a decode error; Go's conversions are undefined there.
-A time that is not a string, or ``properties`` that is not an object, is
-a decode error too (Go's unmarshal into the typed field fails).
+A number, bool, array or object where the reference's struct has a
+string field (a time included), or ``properties`` that is not an object,
+is a decode error too: Go's unmarshal into the typed field fails. A
+``null`` string field reads as "" (Go leaves the field at its zero
+value).
 """
 
 from __future__ import annotations
@@ -38,10 +41,15 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _time_ns(v):
-    """RFC3339 string → UnixNano; None for anything else (a number or
-    object where Go's struct field is a string fails the unmarshal)."""
-    return _parse_rfc3339_ns(v) if isinstance(v, str) else None
+def _str_field(d: dict, key: str) -> str:
+    """``d[key]`` as Go's unmarshal fills a string field: absent or null
+    → ""; a number, bool, array or object raises TypeError."""
+    v = d.get(key)
+    if v is None:
+        return ""
+    if not isinstance(v, str):
+        raise TypeError(f"{key}: not a string")
+    return v
 
 
 def decode_json_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
@@ -51,10 +59,16 @@ def decode_json_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
             raise ValueError("not an object")
     except ValueError:
         return out.add_error(row, line, ts_ns)
-    fac = facility_from_string(str(d.get("facility", "")))
-    sev = severity_from_string(str(d.get("severity", "")))
-    tr = _time_ns(d["timereported"]) if d.get("timereported") else 0
-    tg = _time_ns(d["timegenerated"]) if d.get("timegenerated") else 0
+    try:
+        f = {k: _str_field(d, k) for k in (
+            "facility", "severity", "timereported", "timegenerated",
+            "hostname", "appname", "procid", "msgid", "message")}
+    except TypeError:
+        return out.add_error(row, line, ts_ns)
+    fac = facility_from_string(f["facility"])
+    sev = severity_from_string(f["severity"])
+    tr = _parse_rfc3339_ns(f["timereported"]) if f["timereported"] else 0
+    tg = _parse_rfc3339_ns(f["timegenerated"]) if f["timegenerated"] else 0
     if tr is None or tg is None:
         return out.add_error(row, line, ts_ns)
     props = d.get("properties") or {}
@@ -65,9 +79,8 @@ def decode_json_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
         if isinstance(kv, dict):
             cleaned[str(dom)] = {str(k): str(v) for k, v in kv.items()}
     out.add(row, pri=fac * 8 + sev, fac=fac, sev=sev, ver=1, tr=tr, tg=tg,
-            host=str(d.get("hostname", "")), app=str(d.get("appname", "")),
-            proc=str(d.get("procid", "")), msgid=str(d.get("msgid", "")),
-            msg=str(d.get("message", "")), props=props_dumps(cleaned))
+            host=f["hostname"], app=f["appname"], proc=f["procid"],
+            msgid=f["msgid"], msg=f["message"], props=props_dumps(cleaned))
 
 
 def decode_rsyslog_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
@@ -80,27 +93,29 @@ def decode_rsyslog_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
     except ValueError:
         return out.add_error(row, line, ts_ns)
     try:
-        pri = int(str(d.get("pri", "")))
-    except ValueError:
+        f = {k: _str_field(d, k) for k in (
+            "msg", "timereported", "timegenerated", "hostname", "pri",
+            "app-name", "procid", "msgid", "structured-data")}
+        pri = int(f["pri"])
+    except (TypeError, ValueError):
         return out.add_error(row, line, ts_ns)
     if not -(1 << 31) <= pri < 1 << 31:
         return out.add_error(row, line, ts_ns)
 
     tr = tg = ts_ns
-    v = d.get("timereported", "")
+    v = f["timereported"]
     if v and v != "-":
-        tr = _time_ns(v)
+        tr = _parse_rfc3339_ns(v)
         if tr is None:
             return out.add_error(row, line, ts_ns)
-    v = d.get("timegenerated", "")
+    v = f["timegenerated"]
     if v and v != "-":
-        tg = _time_ns(v)
+        tg = _parse_rfc3339_ns(v)
         if tg is None:
             return out.add_error(row, line, ts_ns)
 
     def nil_trim(key):
-        x = str(d.get(key, ""))
-        return "" if x == "-" else x.strip()
+        return "" if f[key] == "-" else f[key].strip()
 
     props = d.get("$!") or {}
     rsys = {str(k).strip(): _fmt_value(v).strip() for k, v in props.items()} \
@@ -109,7 +124,7 @@ def decode_rsyslog_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
             host=nil_trim("hostname"), app=nil_trim("app-name"),
             proc=nil_trim("procid"), msgid=nil_trim("msgid"),
             structured=nil_trim("structured-data"),
-            msg=str(d.get("msg", "")).strip(),
+            msg=f["msg"].strip(),
             props=props_dumps({"rsyslog": rsys} if rsys else {}))
 
 

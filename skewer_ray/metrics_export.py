@@ -1,10 +1,12 @@
 """The run metrics artifact and its Prometheus text-format export.
 
-Every run path (``run_flagship``, ``run_partitioned``) ends in
+The one run core (``state.run_partitioned``, which ``run_flagship``,
+``run`` and each ``--watch`` pass call) ends in
 :func:`write_sink_counts`, which writes the one metrics artifact,
 ``<out_dir>/metrics/sink_counts.json``: a JSON list of
 ``{"sink", "status", "route", "n"}`` records sorted by
-(sink, status, route), counted from the written files' parquet footers.
+(sink, status, route), summed over every lineage manifest (each file's
+counts come from the rows written for it).
 
 The reference serves live counters over HTTP ``/metrics``
 (metrics/metrics.go:38-75; counter families skw_incoming_messages_total

@@ -5,7 +5,7 @@ Ray lifecycle equivalent of `skewer serve` (SURVEY.md §3.4): transcripts
 Parquet stands in for the socket sources, the parse stage for the NumCPU
 parser goroutines, the router stage for the per-dest Forwarder, the
 partitioned Parquet write for Kafka/file/stderr destinations, and the
-footer-count metrics artifact for the Prometheus counters gather
+lineage-count metrics artifact for the Prometheus counters gather
 (metrics/metrics.go:38-75).
 
 Scale notes:
@@ -18,10 +18,11 @@ Scale notes:
   stages/fused.py);
 - the chain runs on PARSE_BATCH-row batches, sized to amortize its
   fixed cost per call;
-- metrics come from the written files' parquet footers, not a groupby;
-- sink writes are hive-partitioned by (sink, status, route); the
-  resumable path (state/manifest.py) writes the same layout under one
-  ``group=<g>`` dir per run.
+- every run writes through state/manifest.run_partitioned: one group
+  dir per run, ``data/group=<g>/sink=<s>/status=<st>/route=<r>/``, with
+  ``part_id`` a data column and one lineage manifest per input file;
+- metrics come from the written bytes (per-file counts streamed over
+  the ``part_id`` column), not from the in-flight stream.
 """
 
 from __future__ import annotations
@@ -98,35 +99,14 @@ def sink_counts(fanout_ds):
 
 
 def run_flagship(input_path: str, out_dir: str,
-                 config: PipelineConfig | None = None,
-                 ordered: bool = False):
-    """Execute the full job: fan-out write + metrics artifact.
-
-    ``ordered=True`` sorts the stream by (conv_id, turn_idx) before the
-    partitioned write — the batch analogue of RELP's in-order acks
-    (services/network/relp.go:405-476); it costs a range shuffle, so
-    leave it off when consumers sort on read.
-
-    Returns the metrics as a pandas DataFrame (small), having written
-    partitioned parquet under ``out_dir/data`` and ``out_dir/metrics``.
-    For resumable execution with per-file lineage records use
-    skewer_ray.state.run_partitioned instead.
-    """
-    import os
-
-    from ..metrics_export import write_sink_counts
-    from ..state.manifest import hive_counts
-
-    fan = build_fanout(read_transcripts(input_path), config)
-    if ordered:
-        fan = fan.sort(["conv_id", "turn_idx"])
-    data_dir = os.path.join(out_dir, "data")
-    # min_rows_per_file guards against tiny-file explosion across the
-    # (sink, status, route) partition space (SURVEY.md §7 hard #4)
-    fan.write_parquet(data_dir, partition_cols=["sink", "status", "route"],
-                      min_rows_per_file=10_000)
-    # metrics from the WRITTEN bytes (the ack is the row's presence) via
-    # parquet footer metadata only — one scan of the input per run, no
-    # re-read of the output data pages (VERDICT r01 #6)
-    return write_sink_counts(
-        out_dir, hive_counts(data_dir, ("sink", "status", "route")))
+                 config: PipelineConfig | None = None):
+    """Execute the full job through the one run core
+    (``state.run_partitioned``): fan-out write under
+    ``out_dir/data/group=<g>/``, lineage manifests under
+    ``out_dir/_lineage/`` and ``out_dir/metrics/sink_counts.json``. A
+    rerun into the same ``out_dir`` writes only input files it has not
+    acked yet. Returns the per-(sink,status,route) counts as a pandas
+    DataFrame."""
+    from ..state import run_partitioned
+    return (run_partitioned(input_path, out_dir, config=config)
+            .groupby(["sink", "status", "route"], as_index=False)["n"].sum())

@@ -1,4 +1,6 @@
-"""Per-file lineage + idempotent resume, one write group per run.
+"""Per-file lineage + idempotent resume, one write group per run: the
+one way a job writes its output (``run``, ``run --watch`` and
+``pipelines.flagship.run_flagship`` all end here).
 
 The reference's durable store tracks each message through
 ready → sent → {deleted(ACK), failed(NACK), permerrors} per destination
@@ -13,17 +15,21 @@ under ``out/data/group=<g>/sink=<s>/status=<st>/route=<r>/``. Each
 source file keeps its own ``part_id`` (a data column of every output
 row) and its own atomic manifest ``_lineage/part-<id>.json`` (write-tmp
 + rename) recording input rows, per-(sink,status,route) counts, the
-group and the group's file list — the ACK/NACK/PermError accounting.
-Manifests land only after the whole group is written, so a rerun:
+group and the group's size (``group_size``, its number of files) — the
+ACK/NACK/PermError accounting. A manifest's size does not grow with its
+group. Manifests land only after the whole group is written, so a rerun:
 
-- skips a group whose files all have manifests (idempotent restart);
-- deletes a group missing any manifest — its dir and its surviving
-  manifests, the "sent but never acked" analogue — and redoes its files
-  together with any new ones;
+- skips a group that has ``group_size`` manifests (idempotent restart:
+  a second run into the same out dir writes nothing);
+- deletes a group with fewer — its dir and its surviving manifests, the
+  "sent but never acked" analogue — and redoes its files, which are
+  then unmanifested inputs like any new file, as one new group;
 - deletes output dirs that no manifest claims.
 
 A manifest written before groups (no ``group``) reads as a one-file
-group stored at ``data/part_id=<p>/``, so older outputs resume in place.
+group stored at ``data/part_id=<p>/``, and one that lists its group's
+files (``group_files``) reads as a group of that many files, so older
+outputs resume in place.
 
 REJECTED rows (filter NACK, store/forwarder.go:197-199) are data, not
 job failures: they land under ``status=rejected`` and are re-dispatched
@@ -51,7 +57,7 @@ class PartitionManifest:
     counts: dict = field(default_factory=dict)  # "sink/status/route" -> rows
     status: str = "done"
     group: int | None = None    # None: written before groups
-    group_files: list = field(default_factory=list)
+    group_size: int = 1         # files written in the group
 
     @property
     def n_out(self) -> int:
@@ -91,7 +97,12 @@ def load_manifests(out_dir: str) -> dict[int, PartitionManifest]:
     for f in sorted(os.listdir(d)):
         if f.endswith(".json"):
             with open(os.path.join(d, f)) as fh:
-                m = PartitionManifest(**json.load(fh))
+                rec = json.load(fh)
+            # a manifest from before group_size lists its group's files
+            files = rec.pop("group_files", None)
+            if files:
+                rec["group_size"] = len(files)
+            m = PartitionManifest(**rec)
             out[m.part_id] = m
     return out
 
@@ -125,44 +136,51 @@ def _part_id_of_path(id_for_file: dict[str, int]):
     return fn
 
 
+def _hive_files(data_dir: str, keys: tuple[str, ...]):
+    """(key tuple, path) of every parquet file under ``data_dir`` whose
+    hive dirs name all ``keys`` (raw dir names, no percent-decoding)."""
+    for root, _dirs, fnames in os.walk(data_dir):
+        rel = os.path.relpath(root, data_dir)
+        kv = dict(p.split("=", 1) for p in rel.split(os.sep) if "=" in p)
+        if all(k in kv for k in keys):
+            key = tuple(kv[k] for k in keys)
+            for fn in fnames:
+                if fn.endswith(".parquet"):
+                    yield key, os.path.join(root, fn)
+
+
 def hive_counts(data_dir: str, keys: tuple[str, ...]) -> dict[tuple, int]:
     """Row counts per hive-partition key tuple from parquet FOOTER
     metadata alone — no data pages are read, so deriving metrics from
     written output costs directory walks + footers, not a second scan."""
     import pyarrow.parquet as pq
     counts: dict[tuple, int] = {}
-    for root, _dirs, fnames in os.walk(data_dir):
-        rel = os.path.relpath(root, data_dir)
-        kv = dict(p.split("=", 1) for p in rel.split(os.sep) if "=" in p)
-        if not all(k in kv for k in keys):
-            continue
-        key = tuple(kv[k] for k in keys)
-        for fn in fnames:
-            if fn.endswith(".parquet"):
-                n = pq.ParquetFile(os.path.join(root, fn)).metadata.num_rows
-                counts[key] = counts.get(key, 0) + n
+    for key, path in _hive_files(data_dir, keys):
+        n = pq.ParquetFile(path).metadata.num_rows
+        counts[key] = counts.get(key, 0) + n
     return counts
 
 
 _SINK_KEY = ("sink", "status", "route")
 
 
-def _group_counts(group_dir: str) -> dict[int, dict[str, int]]:
-    """part_id → {"sink/status/route": rows} under one group dir, from one
-    scan of the written ``part_id`` column and the hive keys."""
-    import pyarrow.dataset as pds
-    if not os.path.isdir(group_dir):
-        return {}   # zero rows written
-    keys = pds.HivePartitioning(
-        pa.schema([(k, pa.string()) for k in _SINK_KEY]),
-        segment_encoding="none")   # raw dir names, as hive_counts reads them
-    t = (pds.dataset(group_dir, format="parquet", partitioning=keys)
-         .to_table(columns=["part_id", *_SINK_KEY])
-         .group_by(["part_id", *_SINK_KEY]).aggregate([([], "count_all")]))
+def _group_counts(group_dir: str,
+                  batch_size: int = 1 << 17) -> dict[int, dict[str, int]]:
+    """part_id → {"sink/status/route": rows} under one group dir, from
+    the written ``part_id`` column, one file and ``batch_size`` rows at a
+    time: the driver holds one batch and the count dict, never a table
+    of every written row."""
+    import pyarrow.parquet as pq
     out: dict[int, dict[str, int]] = {}
-    for r in t.to_pylist():
-        key = "/".join(r[k] for k in _SINK_KEY)
-        out.setdefault(r["part_id"], {})[key] = r["count_all"]
+    for key, path in _hive_files(group_dir, _SINK_KEY):
+        key = "/".join(key)
+        for b in pq.ParquetFile(path).iter_batches(
+                batch_size, columns=["part_id"], use_threads=False):
+            vc = pc.value_counts(b.column(0))
+            for pid, n in zip(vc.field("values").to_pylist(),
+                              vc.field("counts").to_pylist()):
+                per = out.setdefault(pid, {})
+                per[key] = per.get(key, 0) + n
     return out
 
 
@@ -174,16 +192,15 @@ def _split_key(key: str) -> tuple[str, str, str]:
 
 
 def _drop_unacked(out_dir: str, done: dict[int, PartitionManifest]) -> None:
-    """Crash recovery (store/store.go:887-941 analogue): a group missing
-    any of its files' manifests was sent but never acked — remove its
-    surviving manifests (from ``done`` too), then every dir under
-    ``data/`` that no remaining manifest claims."""
+    """Crash recovery (store/store.go:887-941 analogue): a group with
+    fewer than ``group_size`` manifests was sent but never acked —
+    remove its surviving manifests (from ``done`` too), then every dir
+    under ``data/`` that no remaining manifest claims."""
     by_dir: dict[str, list[PartitionManifest]] = {}
     for m in done.values():
         by_dir.setdefault(m.group_dir, []).append(m)
     for ms in by_dir.values():
-        if {m.input_file for m in ms} >= set(ms[0].group_files
-                                              or [ms[0].input_file]):
+        if len(ms) >= ms[0].group_size:
             continue
         for m in ms:
             os.remove(_manifest_path(out_dir, m.part_id))
@@ -199,9 +216,10 @@ def _drop_unacked(out_dir: str, done: dict[int, PartitionManifest]) -> None:
 
 def run_partitioned(input_path: str, out_dir: str,
                     config=None) -> "pd.DataFrame":
-    """Resumable flagship run. Returns the per-(part,sink,status,route)
-    counts (small pandas frame); files in fully acked groups are
-    skipped, and every other input file is written as one new group.
+    """The flagship job, resumable and idempotent. Returns the
+    per-(part,sink,status,route) counts (small pandas frame); files in
+    fully acked groups are skipped, and every other input file is
+    written as one new group.
 
     Done-ness is keyed on the input FILE identity (the manifest's
     ``input_file``), never on its position in the sorted listing: under
@@ -236,11 +254,12 @@ def run_partitioned(input_path: str, out_dir: str,
         used = {m.group for m in done.values()}
         group = next(g for g in range(len(used) + 1) if g not in used)
         group_dir = os.path.join(out_dir, "data", f"group={group}")
-        group_files = [f for _i, f in todo]
-        ds = rd.read_parquet(group_files, columns=TRANSCRIPT_COLUMNS,
-                             include_paths=True)
+        ds = rd.read_parquet([f for _i, f in todo],
+                             columns=TRANSCRIPT_COLUMNS, include_paths=True)
         ds = ds.map_batches(_part_id_of_path({f: i for i, f in todo}),
                             batch_format="pyarrow")
+        # min_rows_per_file guards against tiny-file explosion across the
+        # (sink, status, route) partition space (SURVEY.md §7 hard #4)
         build_fanout(ds, config).write_parquet(
             group_dir, partition_cols=list(_SINK_KEY),
             min_rows_per_file=10_000)
@@ -252,7 +271,7 @@ def run_partitioned(input_path: str, out_dir: str,
                 part_id=i, input_file=f,
                 n_in=pq.ParquetFile(f).metadata.num_rows,
                 counts=counts.get(i, {}), group=group,
-                group_files=group_files))
+                group_size=len(todo)))
 
     # final metrics reduce over ALL manifests (metrics/metrics.go:38-75's
     # gather, re-expressed as a union of per-file lineage rows)

@@ -196,6 +196,28 @@ def test_rsyslog_bad_pri():
     assert not r["parse_ok"]
 
 
+@pytest.mark.parametrize("fmt,line", [
+    ("json", '{"hostname":5}'), ("json", '{"hostname":true}'),
+    ("json", '{"message":{"a":1}}'), ("json", '{"severity":[1]}'),
+    ("json", '{"timereported":0}'),
+    ("rsyslogjson", '{"pri":13}'), ("rsyslogjson", '{"pri":"1","hostname":5}'),
+    ("rsyslogjson", '{"pri":"1","msgid":true}'),
+    ("rsyslogjson", '{"pri":"1","msg":{"a":1}}'),
+    ("rsyslogjson", '{"pri":"1","timegenerated":false}')])
+def test_json_non_string_in_string_field_is_error(fmt, line):
+    """Go's unmarshal of a number, bool, array or object into a string
+    field fails the message; it is not printed with %v."""
+    assert not one(fmt, line)["parse_ok"]
+
+
+def test_json_null_string_field_reads_empty():
+    """Unmarshaling null into a Go string leaves it at "" ."""
+    r = one("json", '{"hostname":null,"message":"m"}')
+    assert r["parse_ok"] and r["hostname"] == "" and r["message"] == "m"
+    r = one("rsyslogjson", '{"pri":"13","app-name":null,"msg":"m"}')
+    assert r["parse_ok"] and r["appname"] == "" and r["priority"] == 13
+
+
 # --- GELF -------------------------------------------------------------------
 
 def test_gelf_underscore_quirk():
@@ -755,7 +777,9 @@ def _apply(line, muts):
 def test_json_vec_parity_with_per_row():
     edges = [
         '{}', '{"facility":"nope","severity":"crit"}', '{"hostname":null}',
-        '{"hostname":5}', '{"hostname":"a","hostname":"b"}', '[1]',
+        '{"hostname":5}', '{"hostname":true}', '{"message":{"a":1}}',
+        '{"msgid":[1]}', '{"timegenerated":0}',
+        '{"hostname":"a","hostname":"b"}', '[1]',
         '{"message":"café"}', '{"message":"a\\"b"}', '{"x":Inf}',
         '{"x":NaN}', '{"a":"x"}{"a":"y"}', '{"a":"x"} y',
         '{"properties":{"d":{"k":"v"}}}', '{"properties":1}',
@@ -784,7 +808,9 @@ def test_rsyslogjson_vec_parity_with_per_row():
         '{"pri":"1","$!":{"z":" 1 ","a":2,"m":"q"}}',
         '{"pri":"1","timereported":"-","timegenerated":""}',
         '{"pri":"1","hostname":" - ","msgid":"-","msg":"  m  "}',
-        '{"pri":"1","timereported":"9999-12-31T23:59:59Z"}']
+        '{"pri":"1","timereported":"9999-12-31T23:59:59Z"}',
+        '{"pri":13}', '{"pri":"1","hostname":5}', '{"pri":"1","msgid":true}',
+        '{"pri":"1","msg":{"a":1}}', '{"pri":"1","app-name":null}']
     _parity_property(6, DecoderConfig(format="rsyslogjson"), _json_mutations(
         ["msg", "hostname", "pri", "timereported", "app-name",
          "structured-data", "$!"],

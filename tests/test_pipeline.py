@@ -164,8 +164,7 @@ def test_cli_run_and_counts(tmp_path, ray_session, capsys):
     equivalent surface). Reuses the session Ray (guarded init)."""
     from skewer_ray.cli import main
     out = str(tmp_path / "cli_out")
-    rc = main(["run", "--input", "/root/testdata/sf0.001", "--out", out,
-               "--resume"])
+    rc = main(["run", "--input", "/root/testdata/sf0.001", "--out", out])
     assert rc == 0
     assert (tmp_path / "cli_out" / "metrics" / "sink_counts.json").exists()
     capsys.readouterr()
@@ -174,42 +173,10 @@ def test_cli_run_and_counts(tmp_path, ray_session, capsys):
     recs = json.loads(capsys.readouterr().out)
     assert recs and all(set(r) == {"sink", "status", "route", "n"}
                         for r in recs)
-    # the resumable run's metrics carry real routes (kafka topics)
+    # the run's metrics carry real routes (kafka topics)
     assert {r["route"] for r in recs if r["sink"] == "kafka"} - {"-"}
     rc = main(["retry", "--out", out])
     assert rc == 0
-
-
-@pytest.mark.parametrize("extra", [["--resume"], ["--watch", "--config",
-                                                  "x.toml"]])
-def test_cli_rejects_ordered_with_resume_or_watch(extra):
-    """--ordered only sorts the plain run; combined with the partitioned
-    paths it would be dropped silently, so the CLI refuses it."""
-    from skewer_ray.cli import main
-    with pytest.raises(SystemExit):
-        main(["run", "--input", "in", "--out", "out", "--ordered", *extra])
-
-
-def test_run_flagship_ordered(tmp_path, ray_session):
-    import pyarrow.dataset as pds
-    import pyarrow.compute as pc
-    from skewer_ray.pipelines.flagship import run_flagship
-    out = str(tmp_path / "ordered")
-    run_flagship("/root/testdata/sf0.001", out, ordered=True)
-    d = pds.dataset(f"{out}/data", partitioning="hive")
-    t = d.to_table(filter=(pc.field("sink") == "kafka")
-                   & (pc.field("status") == "passing"),
-                   columns=["conv_id", "turn_idx"])
-    # the RELP invariant: rows inside each written file are in stable
-    # (conv_id, turn_idx) order → globally sorted table sorts to itself
-    import pandas as pd
-    df = t.to_pandas()
-    files = d.files
-    for f in files[:3]:
-        import pyarrow.parquet as pq
-        ft = pq.read_table(f, columns=["conv_id", "turn_idx"]).to_pandas()
-        srt = ft.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-        assert ft.reset_index(drop=True).equals(srt)
 
 
 def test_cli_test_mode(ray_session, capsys):

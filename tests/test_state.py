@@ -75,22 +75,26 @@ def test_run_partitioned_counts_match_flagship(small_input, tmp_path, ray_sessio
     assert agg[("stderr", "rejected")] == 78
     assert agg[("_parse", "error")] == 11
     assert "route" in metrics.columns
-    # both run paths write the same metrics artifact, record for record
+    # run_flagship is this run: its frame is these totals, and it writes
+    # the same metrics artifact, record for record
     from skewer_ray.pipelines.flagship import run_flagship
     flat = str(tmp_path / "flat")
-    run_flagship(small_input, flat)
+    frame = run_flagship(small_input, flat)
+    assert (frame.set_index(["sink", "status", "route"])["n"].to_dict()
+            == metrics.groupby(["sink", "status", "route"])["n"].sum()
+            .to_dict())
     assert _sink_counts(out) == _sink_counts(flat)
     assert not os.path.exists(os.path.join(flat, "metrics", "summary.json"))
     # the three files write as one group, not one tree each
     assert os.listdir(os.path.join(out, "data")) == ["group=0"]
-    assert len(_parquet_files(out)) <= len(_parquet_files(flat))
+    assert os.listdir(os.path.join(flat, "data")) == ["group=0"]
 
 
 def test_both_run_paths_write_the_same_columns(small_input, tmp_path,
                                                ray_session):
-    """An input column the chain does not use reaches neither run path's
-    output: both read only the transcript columns. The resumable path
-    adds only its ``part_id`` data column."""
+    """An input column the chain does not use reaches no output: the run
+    reads only the transcript columns and adds only its ``part_id`` data
+    column, whichever entry point starts it."""
     import pyarrow as pa
 
     from skewer_ray.pipelines.flagship import run_flagship
@@ -107,7 +111,8 @@ def test_both_run_paths_write_the_same_columns(small_input, tmp_path,
     def columns(out):
         return {c for f in _parquet_files(out) for c in pq.read_schema(f).names}
     assert "lang" not in columns(flat) | columns(part)
-    assert columns(part) == columns(flat) | {"part_id"}
+    assert "part_id" in columns(part)
+    assert columns(part) == columns(flat)
 
 
 def test_resume_through_symlinked_input_redoes_nothing(
@@ -126,6 +131,78 @@ def test_resume_through_symlinked_input_redoes_nothing(
     assert a1 == a2
 
 
+def test_cli_run_twice_into_the_same_out_is_a_no_op(tmp_path, ray_session):
+    """A second plain ``run`` into the same ``--out`` finds every input
+    file acked and writes nothing: the counts stay those of one run."""
+    from skewer_ray.cli import main
+    out = str(tmp_path / "out")
+    argv = ["run", "--input", "/root/testdata/sf0.001", "--out", out]
+    assert main(argv) == 0
+    first = _sink_counts(out)
+    files = _file_mtimes(os.path.join(out, "data"))
+    assert sum(r["n"] for r in first) == 17_996
+    assert main(argv) == 0
+    assert _sink_counts(out) == first
+    assert _file_mtimes(os.path.join(out, "data")) == files
+
+
+def test_retry_after_plain_run_redelivers_rejected(tmp_path, ray_session):
+    """``retry_rejected`` finds the quarantined rows of a plain ``run``:
+    with an accept-all filter every rejected turn reaches all 3 sinks."""
+    from skewer_ray.cli import main
+    from skewer_ray.config import HookSet, default_topic_fn
+    out = str(tmp_path / "out")
+    assert main(["run", "--input", "/root/testdata/sf0.001",
+                 "--out", out]) == 0
+    accept_all = HookSet(topic_fn=default_topic_fn,
+                         partition_key_tmpl="pk-{hostname}",
+                         filter_fn=lambda rec: (FILTER_PASS, None))
+    assert retry_rejected(out, hooks=accept_all) == 78 * 3
+
+
+def test_group_counts_stream_in_small_batches(small_input, tmp_path,
+                                              ray_session):
+    """The lineage counts read a few rows at a time give the same
+    per-file counts as one scan of every written row."""
+    import pyarrow as pa
+    import pyarrow.dataset as pds
+
+    from skewer_ray.state.manifest import _group_counts
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    group = os.path.join(out, "data", "group=0")
+    keys = ["sink", "status", "route"]
+    t = (pds.dataset(group, format="parquet", partitioning=pds.partitioning(
+            pa.schema([(k, pa.string()) for k in keys]), flavor="hive"))
+         .to_table(columns=["part_id", *keys])
+         .group_by(["part_id", *keys]).aggregate([([], "count_all")]))
+    want: dict = {}
+    for r in t.to_pylist():
+        want.setdefault(r["part_id"], {})[
+            "/".join(r[k] for k in keys)] = r["count_all"]
+    assert sorted(want) == [0, 1, 2]
+    assert _group_counts(group, batch_size=7) == want
+    assert _group_counts(group) == want
+    assert {i: m.counts for i, m in load_manifests(out).items()} == want
+
+
+def test_manifest_size_does_not_grow_with_its_group(small_input, tmp_path,
+                                                    ray_session):
+    """Each manifest names only its own input file: a group of N files
+    writes N manifests of constant size, not N lists of N paths."""
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    names = sorted(os.listdir(small_input))
+    lineage = os.path.join(out, "_lineage")
+    for f in sorted(os.listdir(lineage)):
+        with open(os.path.join(lineage, f)) as fh:
+            text = fh.read()
+        m = json.loads(text)
+        assert m["group_size"] == 3 and "group_files" not in m
+        assert sum(n in text for n in names) == 1
+        assert not [k for k, v in m.items() if isinstance(v, list)]
+
+
 def test_resume_skips_done_and_redoes_orphans(small_input, tmp_path, ray_session):
     """Two runs make two groups. A crash inside group 1 (one of its
     manifests lost, its data half-written) redoes all of group 1 and
@@ -138,9 +215,7 @@ def test_resume_skips_done_and_redoes_orphans(small_input, tmp_path, ray_session
     m1 = run_partitioned(small_input, out)           # group 1: files 1, 2
     ms = load_manifests(out)
     assert [ms[i].group for i in (0, 1, 2)] == [0, 1, 1]
-    assert ms[1].group_files == ms[2].group_files \
-        == [os.path.join(os.path.realpath(small_input), n)
-            for n in names[1:]]
+    assert ms[1].group_size == ms[2].group_size == 2
 
     os.remove(os.path.join(out, "_lineage", "part-00001.json"))
     group1 = os.path.join(out, "data", "group=1")
@@ -216,7 +291,11 @@ def test_crash_mid_group_then_new_files_arrive(small_input, tmp_path,
 
 def test_resume_keeps_outputs_written_before_groups(small_input, tmp_path,
                                                    ray_session):
-    """An output from before groups has one ``data/part_id=<p>/`` tree per
+    """Manifests that list their group's files (``group_files``, before
+    ``group_size``) read as a group of that many files: a rerun skips the
+    group, and one lost manifest redoes it.
+
+    An output from before groups has one ``data/part_id=<p>/`` tree per
     file and manifests without group fields. Each reads as an acked
     one-file group: a resume after a new file arrives leaves those trees
     as they are and writes the new file as a group of its own."""
@@ -226,6 +305,29 @@ def test_resume_keeps_outputs_written_before_groups(small_input, tmp_path,
     out = str(tmp_path / "out")
     run_partitioned(small_input, out)
     data = os.path.join(out, "data")
+    lineage = os.path.join(out, "_lineage")
+
+    def rewrite_manifests(edit):
+        for f in os.listdir(lineage):
+            with open(os.path.join(lineage, f)) as fh:
+                m = json.load(fh)
+            edit(m)
+            with open(os.path.join(lineage, f), "w") as fh:
+                json.dump(m, fh)
+
+    files = sorted(m.input_file for m in load_manifests(out).values())
+    rewrite_manifests(lambda m: (m.pop("group_size"),
+                                 m.update(group_files=files)))
+    assert {m.group_size for m in load_manifests(out).values()} == {3}
+    mtimes_before = _file_mtimes(data)
+    run_partitioned(small_input, out)
+    assert _file_mtimes(data) == mtimes_before
+    os.remove(os.path.join(lineage, "part-00001.json"))
+    run_partitioned(small_input, out)
+    assert _file_mtimes(data) != mtimes_before
+    ms = load_manifests(out)
+    assert sorted(ms) == [0, 1, 2]
+    assert {(m.group, m.group_size) for m in ms.values()} == {(0, 3)}
     keys = pds.HivePartitioning(
         pa.schema([(k, pa.string()) for k in ("sink", "status", "route")]),
         segment_encoding="none")
@@ -234,13 +336,7 @@ def test_resume_keeps_outputs_written_before_groups(small_input, tmp_path,
     shutil.rmtree(data)
     pq.write_to_dataset(rows, data,
                         partition_cols=["part_id", "sink", "status", "route"])
-    for f in os.listdir(os.path.join(out, "_lineage")):
-        path = os.path.join(out, "_lineage", f)
-        with open(path) as fh:
-            m = json.load(fh)
-        del m["group"], m["group_files"]
-        with open(path, "w") as fh:
-            json.dump(m, fh)
+    rewrite_manifests(lambda m: (m.pop("group"), m.pop("group_size")))
     assert sorted(os.listdir(data)) == [f"part_id={i}" for i in range(3)]
 
     first = sorted(os.listdir(small_input))[0]
@@ -608,7 +704,7 @@ def test_incremental_ingest_new_file_sorting_first(
     # old parts untouched, the new file landed as part 3 in group 1
     assert sorted(ms) == [0, 1, 2, 3]
     assert ms[3].input_file == newfile and ms[3].n_in == 500
-    assert ms[3].group == 1 and ms[3].group_files == [newfile]
+    assert ms[3].group == 1 and ms[3].group_size == 1
     assert {os.path.basename(ms[i].input_file) for i in (0, 1, 2)} \
         == {os.path.basename(f) for f in sorted(os.listdir(small_input))
             if f != "aaa-new-arrival.parquet"}
