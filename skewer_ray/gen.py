@@ -228,6 +228,15 @@ DATA_ROOT = "/tmp/skewer_ray_testdata"
 _SF_RE = re.compile(r"sf([0-9.]+)")
 
 
+def transcripts_input(path: str) -> str:
+    """The transcript parquet an input path names: a testdata scale dir
+    (basename ``sf<number>``, e.g. ``sf0.001``) stands for its synthetic
+    transcripts (generated on first use); any other path is itself."""
+    if _SF_RE.fullmatch(os.path.basename(os.path.normpath(path))):
+        return ensure_transcripts(path)
+    return path
+
+
 def turns_for_sf(sf_name: str) -> int:
     m = _SF_RE.search(sf_name)
     sf = float(m.group(1)) if m else 0.01

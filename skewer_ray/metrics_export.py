@@ -1,8 +1,8 @@
 """The run metrics artifact and its Prometheus text-format export.
 
-The one run core (``state.run_partitioned``, which ``run_flagship``,
-``run`` and each ``--watch`` pass call) ends in
-:func:`write_sink_counts`, which writes the one metrics artifact,
+The one write path (``state.manifest``: every run, ``--watch`` pass and
+``retry_rejected`` attempt) ends in :func:`write_sink_counts`, which
+writes the one metrics artifact,
 ``<out_dir>/metrics/sink_counts.json``: a JSON list of
 ``{"sink", "status", "route", "n"}`` records sorted by
 (sink, status, route), summed over every lineage manifest (each file's

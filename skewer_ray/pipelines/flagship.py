@@ -30,7 +30,7 @@ from __future__ import annotations
 import ray.data as rd
 
 from ..config import PipelineConfig, default_config
-from ..gen import ensure_transcripts
+from ..gen import transcripts_input
 from ..stages import EnrichStage, FanoutEncodeStage, ParseStage, RouterStage
 from ..stages.fused import fused_task_fn
 
@@ -46,13 +46,8 @@ TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 def read_transcripts(path_or_sfdir: str):
     """Accepts either a testdata sf-dir (→ deterministic synthetic
     transcripts for that scale) or a path to transcript parquet."""
-    import os
-    base = os.path.basename(os.path.normpath(path_or_sfdir))
-    if base.startswith("sf"):
-        path = ensure_transcripts(path_or_sfdir)
-    else:
-        path = path_or_sfdir
-    return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS)
+    return rd.read_parquet(transcripts_input(path_or_sfdir),
+                           columns=TRANSCRIPT_COLUMNS)
 
 
 def _specs(config: PipelineConfig, hooks=None):

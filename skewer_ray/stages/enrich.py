@@ -3,18 +3,15 @@
 The reference's sources enrich records with metadata via SetProperty
 (services/accounting.go:91, services/filepoll.go:206). Here the
 role/tool dictionaries (north rule "lookup enrich") are broadcast once
-(small dicts serialized with the stage spec and built once per task;
-for big lookup tables pass a ``ray.put`` ObjectRef and ``ray.get`` it in
-``__init__``)
-and applied as a vectorized ``index_in``+``take`` per batch.
+(small dicts serialized with the stage spec and built once per task)
+and applied as a vectorized ``index_in``+``take`` per batch; a value
+missing from its dict maps to "unknown".
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray
 
 
 def _lookup_column(col, mapping: dict[str, str], default: str) -> pa.Array:
@@ -28,19 +25,11 @@ def _lookup_column(col, mapping: dict[str, str], default: str) -> pa.Array:
 class EnrichStage:
     """Adds role_class / tool_category columns from broadcast dicts."""
 
-    def __init__(self, role_lookup, tool_lookup,
-                 role_default: str = "unknown", tool_default: str = "unknown"):
-        # accept plain dicts or ObjectRefs (ray.put'd broadcast tables)
-        if isinstance(role_lookup, ray.ObjectRef):
-            role_lookup = ray.get(role_lookup)
-        if isinstance(tool_lookup, ray.ObjectRef):
-            tool_lookup = ray.get(tool_lookup)
+    def __init__(self, role_lookup, tool_lookup):
         self.role_lookup = dict(role_lookup)
         self.tool_lookup = dict(tool_lookup)
-        self.role_default = role_default
-        self.tool_default = tool_default
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rc = _lookup_column(batch["role"], self.role_lookup, self.role_default)
-        tc = _lookup_column(batch["tool"], self.tool_lookup, self.tool_default)
+        rc = _lookup_column(batch["role"], self.role_lookup, "unknown")
+        tc = _lookup_column(batch["tool"], self.tool_lookup, "unknown")
         return batch.append_column("role_class", rc).append_column("tool_category", tc)

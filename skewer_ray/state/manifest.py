@@ -1,6 +1,7 @@
 """Per-file lineage + idempotent resume, one write group per run: the
-one way a job writes its output (``run``, ``run --watch`` and
-``pipelines.flagship.run_flagship`` all end here).
+one way the package writes output (``run``, ``run --watch``,
+``pipelines.flagship.run_flagship`` and :func:`retry_rejected` all end
+in :func:`_write_group`).
 
 The reference's durable store tracks each message through
 ready → sent → {deleted(ACK), failed(NACK), permerrors} per destination
@@ -14,7 +15,7 @@ finds without a manifest, written together by one ``write_parquet``
 under ``out/data/group=<g>/sink=<s>/status=<st>/route=<r>/``. Each
 source file keeps its own ``part_id`` (a data column of every output
 row) and its own atomic manifest ``_lineage/part-<id>.json`` (write-tmp
-+ rename) recording input rows, per-(sink,status,route) counts, the
++ rename) recording input rows, per-"sink/status/route" counts, the
 group and the group's size (``group_size``, its number of files) — the
 ACK/NACK/PermError accounting. A manifest's size does not grow with its
 group. Manifests land only after the whole group is written, so a rerun:
@@ -26,15 +27,14 @@ group. Manifests land only after the whole group is written, so a rerun:
   then unmanifested inputs like any new file, as one new group;
 - deletes output dirs that no manifest claims.
 
-A manifest written before groups (no ``group``) reads as a one-file
-group stored at ``data/part_id=<p>/``, and one that lists its group's
-files (``group_files``) reads as a group of that many files, so older
-outputs resume in place.
+Each out dir's ``metrics/sink_counts.json`` sums its manifests. A
+manifest without ``group`` (written before groups) raises a ValueError.
 
 REJECTED rows (filter NACK, store/forwarder.go:197-199) are data, not
-job failures: they land under ``status=rejected`` and are re-dispatched
-by :func:`retry_rejected` (the 60-s failed→ready ticker,
-store/store.go:958-1058, collapsed into an explicit batch retry pass).
+job failures: they land under ``status=rejected``. :func:`retry_rejected`
+re-dispatches them (the 60-s failed→ready ticker, store/store.go:958-1058,
+as a batch pass) into ``out/retries/<nnn>/``, an out dir of this layout
+that keeps every status: a row that passed there is never sent again.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -54,22 +54,9 @@ class PartitionManifest:
     part_id: int
     input_file: str
     n_in: int
-    counts: dict = field(default_factory=dict)  # "sink/status/route" -> rows
-    status: str = "done"
-    group: int | None = None    # None: written before groups
-    group_size: int = 1         # files written in the group
-
-    @property
-    def n_out(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def group_dir(self) -> str:
-        """The group's dir under ``data/``; a manifest from before groups
-        is a one-file group at ``part_id=<p>``."""
-        if self.group is None:
-            return f"part_id={self.part_id}"
-        return f"group={self.group}"
+    counts: dict        # "sink/status/route" -> rows
+    group: int
+    group_size: int     # files written in the group
 
 
 def _lineage_dir(out_dir: str) -> str:
@@ -96,42 +83,50 @@ def load_manifests(out_dir: str) -> dict[int, PartitionManifest]:
         return out
     for f in sorted(os.listdir(d)):
         if f.endswith(".json"):
-            with open(os.path.join(d, f)) as fh:
+            path = os.path.join(d, f)
+            with open(path) as fh:
                 rec = json.load(fh)
-            # a manifest from before group_size lists its group's files
-            files = rec.pop("group_files", None)
-            if files:
-                rec["group_size"] = len(files)
-            m = PartitionManifest(**rec)
+            try:
+                m = PartitionManifest(
+                    **{k.name: rec[k.name] for k in fields(PartitionManifest)})
+            except KeyError as exc:
+                raise ValueError(f"{path}: lineage manifest has no {exc} "
+                                 "(written before write groups)") from None
             out[m.part_id] = m
     return out
 
 
 def _list_input_files(input_path: str) -> list[str]:
-    from ..gen import ensure_transcripts
-    base = os.path.basename(os.path.normpath(input_path))
-    path = ensure_transcripts(input_path) if base.startswith("sf") else input_path
+    from ..gen import transcripts_input
     # manifests match inputs by PATH IDENTITY across runs, so the
     # listing must be spelling-independent: a resume invoked with a
     # relative path, from another cwd or through a symlink would
     # otherwise miss every done file and re-ingest the whole input as
     # "new" partitions
-    path = os.path.realpath(path)
+    path = os.path.realpath(transcripts_input(input_path))
     if os.path.isfile(path):
         return [path]
     return sorted(os.path.join(path, f) for f in os.listdir(path)
                   if f.endswith(".parquet"))
 
 
-def _part_id_of_path(id_for_file: dict[str, int]):
+_KEY_COLS = ["part_id", "conv_id", "turn_idx"]
+
+
+def _part_id_of_path(id_for_file: dict[str, int], keys: pa.Table | None):
     """Vectorized path → original part_id mapping (NOT a re-enumeration:
-    on resume only the todo subset is read, and ids must stay stable)."""
+    on resume only the todo subset is read, and ids must stay stable);
+    with ``keys``, only the rows whose (part_id, conv_id, turn_idx) it
+    lists are kept."""
 
     def fn(batch: pa.Table) -> pa.Table:
         pid = pc.take(pa.array(list(id_for_file.values()), pa.int32()),
                       pc.index_in(batch["path"],
                                   pa.array(list(id_for_file.keys()))))
-        return batch.drop_columns(["path"]).append_column("part_id", pid)
+        batch = batch.drop_columns(["path"]).append_column("part_id", pid)
+        if keys is not None:
+            batch = batch.join(keys, _KEY_COLS, join_type="left semi")
+        return batch
 
     return fn
 
@@ -184,22 +179,15 @@ def _group_counts(group_dir: str,
     return out
 
 
-def _split_key(key: str) -> tuple[str, str, str]:
-    """"sink/status/route" → its parts; a manifest written before counts
-    carried the route has "sink/status" keys, read as route "-"."""
-    parts = key.split("/", 2)
-    return parts[0], parts[1], parts[2] if len(parts) == 3 else "-"
-
-
 def _drop_unacked(out_dir: str, done: dict[int, PartitionManifest]) -> None:
     """Crash recovery (store/store.go:887-941 analogue): a group with
     fewer than ``group_size`` manifests was sent but never acked —
     remove its surviving manifests (from ``done`` too), then every dir
     under ``data/`` that no remaining manifest claims."""
-    by_dir: dict[str, list[PartitionManifest]] = {}
+    by_group: dict[int, list[PartitionManifest]] = {}
     for m in done.values():
-        by_dir.setdefault(m.group_dir, []).append(m)
-    for ms in by_dir.values():
+        by_group.setdefault(m.group, []).append(m)
+    for ms in by_group.values():
         if len(ms) >= ms[0].group_size:
             continue
         for m in ms:
@@ -208,10 +196,65 @@ def _drop_unacked(out_dir: str, done: dict[int, PartitionManifest]) -> None:
     data_dir = os.path.join(out_dir, "data")
     if not os.path.isdir(data_dir):
         return
-    acked = {m.group_dir for m in done.values()}
+    acked = {f"group={m.group}" for m in done.values()}
     for d in os.listdir(data_dir):
-        if d.startswith(("group=", "part_id=")) and d not in acked:
+        if d.startswith("group=") and d not in acked:
             shutil.rmtree(os.path.join(data_dir, d))
+
+
+def _write_group(out_dir: str, done: dict[int, PartitionManifest],
+                 todo: list[tuple[int, str]], specs,
+                 keys: pa.Table | None = None) -> "pd.DataFrame":
+    """Write the ``todo`` (part_id, input file) pairs through the chain
+    ``specs`` as one new group of ``out_dir``, ack each file with its
+    manifest (added to ``done``, the acked manifests) and write
+    ``metrics/sink_counts.json`` over ``done``. With ``keys`` only the
+    rows it lists are read, and ``n_in`` counts them. Returns the
+    per-(part,sink,status,route) counts."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from ..metrics_export import write_sink_counts
+    from ..pipelines.flagship import TRANSCRIPT_COLUMNS, _fused
+
+    if todo:
+        used = {m.group for m in done.values()}
+        group = next(g for g in range(len(used) + 1) if g not in used)
+        group_dir = os.path.join(out_dir, "data", f"group={group}")
+        ds = rd.read_parquet([f for _i, f in todo],
+                             columns=TRANSCRIPT_COLUMNS, include_paths=True)
+        ds = ds.map_batches(_part_id_of_path({f: i for i, f in todo}, keys),
+                            batch_format="pyarrow")
+        # min_rows_per_file guards against tiny-file explosion across the
+        # (sink, status, route) partition space (SURVEY.md §7 hard #4)
+        _fused(ds, specs).write_parquet(
+            group_dir, partition_cols=list(_SINK_KEY),
+            min_rows_per_file=10_000)
+        # lineage counts from the written bytes (what actually landed),
+        # not the in-flight stream — the ack is the row's presence
+        counts = _group_counts(group_dir)
+        if keys is not None:
+            vc = pc.value_counts(keys["part_id"]).to_pylist()
+            n_in = {r["values"]: r["counts"] for r in vc}
+        for i, f in todo:
+            done[i] = PartitionManifest(
+                part_id=i, input_file=f,
+                n_in=(pq.ParquetFile(f).metadata.num_rows if keys is None
+                      else n_in.get(i, 0)),
+                counts=counts.get(i, {}), group=group,
+                group_size=len(todo))
+            _write_manifest(out_dir, done[i])
+
+    # final metrics reduce over ALL manifests (metrics/metrics.go:38-75's
+    # gather, re-expressed as a union of per-file lineage rows)
+    metrics = pd.DataFrame(
+        [(m.part_id, *key.split("/", 2), n)
+         for _i, m in sorted(done.items())
+         for key, n in sorted(m.counts.items())],
+        columns=["part_id", *_SINK_KEY, "n"])
+    write_sink_counts(out_dir,
+                      metrics.groupby(list(_SINK_KEY))["n"].sum().to_dict())
+    return metrics
 
 
 def run_partitioned(input_path: str, out_dir: str,
@@ -228,11 +271,8 @@ def run_partitioned(input_path: str, out_dir: str,
     redo an old one under a shifted id. Known files keep their
     manifested part_id; unseen files get the smallest free ids (first
     run: ids 0..n-1 in sorted order)."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ..metrics_export import write_sink_counts
-    from ..pipelines.flagship import TRANSCRIPT_COLUMNS, build_fanout
+    from ..config import default_config
+    from ..pipelines.flagship import _specs
 
     files = _list_input_files(input_path)
     done = load_manifests(out_dir)
@@ -249,40 +289,8 @@ def run_partitioned(input_path: str, out_dir: str,
                 next_free += 1
             todo.append((next_free, f))
             next_free += 1
-
-    if todo:
-        used = {m.group for m in done.values()}
-        group = next(g for g in range(len(used) + 1) if g not in used)
-        group_dir = os.path.join(out_dir, "data", f"group={group}")
-        ds = rd.read_parquet([f for _i, f in todo],
-                             columns=TRANSCRIPT_COLUMNS, include_paths=True)
-        ds = ds.map_batches(_part_id_of_path({f: i for i, f in todo}),
-                            batch_format="pyarrow")
-        # min_rows_per_file guards against tiny-file explosion across the
-        # (sink, status, route) partition space (SURVEY.md §7 hard #4)
-        build_fanout(ds, config).write_parquet(
-            group_dir, partition_cols=list(_SINK_KEY),
-            min_rows_per_file=10_000)
-        # lineage counts from the written bytes (what actually landed),
-        # not the in-flight stream — the ack is the row's presence
-        counts = _group_counts(group_dir)
-        for i, f in todo:
-            _write_manifest(out_dir, PartitionManifest(
-                part_id=i, input_file=f,
-                n_in=pq.ParquetFile(f).metadata.num_rows,
-                counts=counts.get(i, {}), group=group,
-                group_size=len(todo)))
-
-    # final metrics reduce over ALL manifests (metrics/metrics.go:38-75's
-    # gather, re-expressed as a union of per-file lineage rows)
-    metrics = pd.DataFrame(
-        [(m.part_id, *_split_key(key), n)
-         for m in load_manifests(out_dir).values()
-         for key, n in sorted(m.counts.items())],
-        columns=["part_id", *_SINK_KEY, "n"])
-    write_sink_counts(out_dir,
-                      metrics.groupby(list(_SINK_KEY))["n"].sum().to_dict())
-    return metrics
+    return _write_group(out_dir, done, todo,
+                        _specs(config or default_config()))
 
 
 def retry_rejected(out_dir: str, config=None, hooks=None) -> int:
@@ -290,53 +298,50 @@ def retry_rejected(out_dir: str, config=None, hooks=None) -> int:
     fan-out path — the batch form of the failed→ready retry ticker.
 
     ``hooks`` (optional replacement HookSet) models the operator fixing
-    the filter config between attempts; rows passing this time are
-    appended under ``out/retries/<n>/`` with their own lineage manifest.
-    Returns the number of rows that passed on retry."""
-    import glob as _glob
-
+    the filter config between attempts. Attempt ``n`` is the out dir
+    ``out/retries/<nnn>/``, written like a run from the input files with
+    rows still rejected, each under its own part_id; one that lost a
+    manifest is redone in place. Returns the rows that passed (summed
+    over sinks), 0 with no new attempt when none is still rejected."""
     import pyarrow.parquet as pq
 
     from ..config import default_config
-    from ..pipelines.flagship import TRANSCRIPT_COLUMNS, _fused, _specs
+    from ..pipelines.flagship import _specs
 
-    config = config or default_config()
-    data_dir = os.path.join(out_dir, "data")
-    # rejected rows are duplicated per sink dir; scan every sink= dir (not
-    # just the kafka sink — a config with differently-named sinks would
-    # otherwise retry nothing); the semi join below ignores duplicates
-    rejected = sorted(_glob.glob(os.path.join(
-        data_dir, "*", "sink=*", "status=rejected", "**", "*.parquet"),
-        recursive=True))
-    if not rejected:
-        return 0
-
-    # quarantined rows keep (conv_id, turn_idx); rebuild full records by
-    # re-reading those turns from the recorded input files. The key table
-    # is tiny (rejects only) — driver-side read is fine.
-    key_cols = ["conv_id", "turn_idx"]
-    inputs = sorted({m.input_file for m in load_manifests(out_dir).values()})
-    in_schema = pq.read_schema(inputs[0])
-    keys = (pa.concat_tables([pq.read_table(f, columns=key_cols)
-                              for f in rejected])
-            .group_by(key_cols).aggregate([]).select(key_cols)
-            .cast(pa.schema([in_schema.field(c) for c in key_cols])))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        return batch.join(keys, key_cols, join_type="left semi")
-
-    ds = rd.read_parquet(inputs, columns=TRANSCRIPT_COLUMNS)
-    fan = _fused(ds.map_batches(keep, batch_format="pyarrow"),
-                 _specs(config, hooks))
     retry_dir = os.path.join(out_dir, "retries")
-    n_prev = len(os.listdir(retry_dir)) if os.path.isdir(retry_dir) else 0
-    dest = os.path.join(retry_dir, f"{n_prev:03d}")
-    passing = fan.map_batches(
-        lambda b: b.filter(pc.equal(b["status"], "passing")),
-        batch_format="pyarrow")
-    passing.write_parquet(dest, partition_cols=list(_SINK_KEY))
-    os.makedirs(dest, exist_ok=True)  # zero passing rows → nothing written
-    n = sum(hive_counts(dest, _SINK_KEY).values())
-    with open(os.path.join(dest, "_manifest.json"), "w") as fh:
-        json.dump({"attempt": n_prev, "rows_delivered": int(n)}, fh)
-    return int(n)
+    n = len(os.listdir(retry_dir)) if os.path.isdir(retry_dir) else 0
+    if n:
+        last = os.path.join(retry_dir, f"{n - 1:03d}")
+        acked = load_manifests(last)
+        _drop_unacked(last, acked)
+        if not acked:       # the last attempt never acked: redo it
+            n -= 1
+    # a file's rows still rejected are those of the latest attempt that
+    # read it, or the run's (a file that arrived after every attempt)
+    src = {}
+    for d in [out_dir] + [os.path.join(retry_dir, f"{k:03d}")
+                          for k in range(n)]:
+        src.update((i, (d, m)) for i, m in load_manifests(d).items())
+    # every rejected row is written once per sink: one sink lists them
+    sink = min((k.split("/")[0] for _d, m in src.values() for k in m.counts
+                if k.split("/")[1] == "rejected"), default=None)
+    if sink is None:
+        return 0
+    todo = [(i, m.input_file) for i, (_d, m) in sorted(src.items())
+            if any(k.startswith(f"{sink}/rejected/") for k in m.counts)]
+    tables = []
+    for d in sorted({src[i][0] for i, _f in todo}):
+        ids = pa.array([i for i, _f in todo if src[i][0] == d], pa.int32())
+        for key, path in _hive_files(os.path.join(d, "data"), _SINK_KEY):
+            if key[:2] == (sink, "rejected"):
+                t = pq.read_table(path, columns=_KEY_COLS)
+                tables.append(t.filter(pc.is_in(t["part_id"], ids)))
+    in_schema = pq.read_schema(todo[0][1])
+    # one key per input row (a 1→N decoder writes a row's key N times)
+    keys = (pa.concat_tables(tables)
+            .group_by(_KEY_COLS).aggregate([]).select(_KEY_COLS)
+            .cast(pa.schema([pa.field("part_id", pa.int32())]
+                            + [in_schema.field(c) for c in _KEY_COLS[1:]])))
+    metrics = _write_group(os.path.join(retry_dir, f"{n:03d}"), {}, todo,
+                           _specs(config or default_config(), hooks), keys)
+    return int(metrics.loc[metrics.status == "passing", "n"].sum())

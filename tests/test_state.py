@@ -150,14 +150,10 @@ def test_retry_after_plain_run_redelivers_rejected(tmp_path, ray_session):
     """``retry_rejected`` finds the quarantined rows of a plain ``run``:
     with an accept-all filter every rejected turn reaches all 3 sinks."""
     from skewer_ray.cli import main
-    from skewer_ray.config import HookSet, default_topic_fn
     out = str(tmp_path / "out")
     assert main(["run", "--input", "/root/testdata/sf0.001",
                  "--out", out]) == 0
-    accept_all = HookSet(topic_fn=default_topic_fn,
-                         partition_key_tmpl="pk-{hostname}",
-                         filter_fn=lambda rec: (FILTER_PASS, None))
-    assert retry_rejected(out, hooks=accept_all) == 78 * 3
+    assert retry_rejected(out, hooks=_accept_all()) == 78 * 3
 
 
 def test_group_counts_stream_in_small_batches(small_input, tmp_path,
@@ -289,95 +285,24 @@ def test_crash_mid_group_then_new_files_arrive(small_input, tmp_path,
     assert sum(m.n_in for m in ms.values()) == 6006 + 500
 
 
-def test_resume_keeps_outputs_written_before_groups(small_input, tmp_path,
-                                                   ray_session):
-    """Manifests that list their group's files (``group_files``, before
-    ``group_size``) read as a group of that many files: a rerun skips the
-    group, and one lost manifest redoes it.
-
-    An output from before groups has one ``data/part_id=<p>/`` tree per
-    file and manifests without group fields. Each reads as an acked
-    one-file group: a resume after a new file arrives leaves those trees
-    as they are and writes the new file as a group of its own."""
-    import pyarrow as pa
-    import pyarrow.dataset as pds
-
+def test_lineage_without_groups_is_refused(small_input, tmp_path,
+                                           ray_session):
+    """A manifest without ``group`` (an output from before write groups)
+    or without ``group_size`` (one that listed ``group_files``) is not
+    read: loading the out dir, and so a rerun into it, raises a
+    ``ValueError`` naming the file instead of re-ingesting the input."""
     out = str(tmp_path / "out")
     run_partitioned(small_input, out)
-    data = os.path.join(out, "data")
-    lineage = os.path.join(out, "_lineage")
-
-    def rewrite_manifests(edit):
-        for f in os.listdir(lineage):
-            with open(os.path.join(lineage, f)) as fh:
-                m = json.load(fh)
-            edit(m)
-            with open(os.path.join(lineage, f), "w") as fh:
-                json.dump(m, fh)
-
-    files = sorted(m.input_file for m in load_manifests(out).values())
-    rewrite_manifests(lambda m: (m.pop("group_size"),
-                                 m.update(group_files=files)))
-    assert {m.group_size for m in load_manifests(out).values()} == {3}
-    mtimes_before = _file_mtimes(data)
-    run_partitioned(small_input, out)
-    assert _file_mtimes(data) == mtimes_before
-    os.remove(os.path.join(lineage, "part-00001.json"))
-    run_partitioned(small_input, out)
-    assert _file_mtimes(data) != mtimes_before
-    ms = load_manifests(out)
-    assert sorted(ms) == [0, 1, 2]
-    assert {(m.group, m.group_size) for m in ms.values()} == {(0, 3)}
-    keys = pds.HivePartitioning(
-        pa.schema([(k, pa.string()) for k in ("sink", "status", "route")]),
-        segment_encoding="none")
-    rows = pds.dataset(os.path.join(data, "group=0"), format="parquet",
-                       partitioning=keys).to_table()
-    shutil.rmtree(data)
-    pq.write_to_dataset(rows, data,
-                        partition_cols=["part_id", "sink", "status", "route"])
-    rewrite_manifests(lambda m: (m.pop("group"), m.pop("group_size")))
-    assert sorted(os.listdir(data)) == [f"part_id={i}" for i in range(3)]
-
-    first = sorted(os.listdir(small_input))[0]
-    t = pq.read_table(os.path.join(small_input, first))
-    pq.write_table(t.slice(0, 500),
-                   os.path.join(small_input, "zzz-new-arrival.parquet"))
-    mtimes_before = _file_mtimes(data)
-    run_partitioned(small_input, out)
-    mtimes_after = _file_mtimes(data)
-    assert {p: mt for p, mt in mtimes_after.items()
-            if "group=" not in p} == mtimes_before
-    assert sorted(os.listdir(data)) \
-        == ["group=0"] + [f"part_id={i}" for i in range(3)]
-    ms = load_manifests(out)
-    assert [ms[i].group for i in range(4)] == [None, None, None, 0]
-
-    clean = str(tmp_path / "clean")
-    run_partitioned(small_input, clean)
-    assert _sink_counts(out) == _sink_counts(clean)
-
-
-def test_manifest_without_route_reads_as_dash(small_input, tmp_path,
-                                              ray_session):
-    """A manifest from before counts carried the route has "sink/status"
-    keys: the reduce reads them as route "-", totals unchanged."""
-    out = str(tmp_path / "out")
-    m1 = run_partitioned(small_input, out)
-    path = os.path.join(out, "_lineage", "part-00000.json")
+    path = os.path.join(out, "_lineage", "part-00001.json")
     with open(path) as fh:
         m = json.load(fh)
-    legacy = {}
-    for key, n in m["counts"].items():
-        sink_status = "/".join(key.split("/", 2)[:2])
-        legacy[sink_status] = legacy.get(sink_status, 0) + n
-    m["counts"] = legacy
-    with open(path, "w") as fh:
-        json.dump(m, fh)
-    m2 = run_partitioned(small_input, out)
-    assert set(m2[m2["part_id"] == 0]["route"]) == {"-"}
-    assert (m1.groupby(["sink", "status"])["n"].sum().to_dict()
-            == m2.groupby(["sink", "status"])["n"].sum().to_dict())
+    for drop in ("group", "group_size"):
+        with open(path, "w") as fh:
+            json.dump({k: v for k, v in m.items() if k != drop}, fh)
+        with pytest.raises(ValueError, match="part-00001.json"):
+            load_manifests(out)
+        with pytest.raises(ValueError, match=f"no '{drop}'"):
+            run_partitioned(small_input, out)
 
 
 def test_manifest_atomicity_no_tmp_left(small_input, tmp_path, ray_session):
@@ -387,11 +312,47 @@ def test_manifest_atomicity_no_tmp_left(small_input, tmp_path, ray_session):
     assert not [f for f in os.listdir(lineage) if f.endswith(".tmp")]
     with open(os.path.join(lineage, "part-00000.json")) as fh:
         m = json.load(fh)
-    assert m["status"] == "done"
     assert m["n_in"] > 0 and sum(m["counts"].values()) > 0
 
 
-def test_retry_rejected_delivers_with_fixed_filter(small_input, tmp_path, ray_session):
+def _accept_all():
+    from skewer_ray.config import HookSet, default_topic_fn
+    return HookSet(topic_fn=default_topic_fn,
+                   partition_key_tmpl="pk-{hostname}",
+                   filter_fn=lambda rec: (FILTER_PASS, None))
+
+
+def _reject_some():
+    """Passes two thirds of the rows, rejects the rest (by message
+    length, so the split is the same on every call)."""
+    from skewer_ray.config import HookSet, default_topic_fn
+    from skewer_ray.constants import FILTER_REJECTED
+    return HookSet(
+        topic_fn=default_topic_fn, partition_key_tmpl="pk-{hostname}",
+        filter_fn=lambda rec: ((FILTER_REJECTED if len(rec["message"]) % 3
+                                == 0 else FILTER_PASS), None))
+
+
+def _keys(out: str, sink: str, status: str) -> list[tuple]:
+    """Sorted (part_id, conv_id, turn_idx) of one sink/status's rows."""
+    rows = [r for f in _parquet_files(out)
+            if f"/sink={sink}/status={status}/" in f
+            for r in pq.read_table(f, columns=["part_id", "conv_id",
+                                               "turn_idx"]).to_pylist()]
+    return sorted(tuple(r.values()) for r in rows)
+
+
+def _passing(out: str) -> int:
+    return sum(r["n"] for r in _sink_counts(out) if r["status"] == "passing")
+
+
+def test_retry_rejected_delivers_with_fixed_filter(small_input, tmp_path,
+                                                   ray_session, capsys):
+    """A retry attempt is an out dir in the run layout: one group with
+    a ``part_id`` column, one manifest per re-read input file (its
+    ``n_in`` the rows re-read) and ``metrics/sink_counts.json``, which
+    the ``counts`` and ``metrics`` commands read as for a run."""
+    from skewer_ray.cli import main
     out = str(tmp_path / "out")
     metrics = run_partitioned(small_input, out)
     n_rej = metrics[(metrics.sink == "kafka")
@@ -399,15 +360,137 @@ def test_retry_rejected_delivers_with_fixed_filter(small_input, tmp_path, ray_se
     assert n_rej == 78
 
     # operator "fixes" the filter: accept everything now
-    from skewer_ray.config import HookSet, default_topic_fn
-    fixed = HookSet(topic_fn=default_topic_fn,
-                    partition_key_tmpl="pk-{hostname}",
-                    filter_fn=lambda rec: (FILTER_PASS, None))
-    n = retry_rejected(out, hooks=fixed)
+    n = retry_rejected(out, hooks=_accept_all())
     # every quarantined turn re-delivered to all 3 sinks
     assert n == 78 * 3
-    retry_dir = os.path.join(out, "retries", "000")
-    assert os.path.isfile(os.path.join(retry_dir, "_manifest.json"))
+    attempt = os.path.join(out, "retries", "000")
+    assert os.listdir(os.path.join(attempt, "data")) == ["group=0"]
+    assert all("part_id" in pq.read_schema(f).names
+               for f in _parquet_files(attempt))
+    ms = load_manifests(attempt)
+    main_ms = load_manifests(out)
+    assert sum(m.n_in for m in ms.values()) == 78
+    assert {(i, m.input_file) for i, m in ms.items()} \
+        <= {(i, m.input_file) for i, m in main_ms.items()}
+    assert {(m.group, m.group_size) for m in ms.values()} == {(0, len(ms))}
+    assert _passing(attempt) == n
+    assert _keys(attempt, "file", "passing") == _keys(out, "kafka",
+                                                      "rejected")
+    capsys.readouterr()
+    assert main(["counts", "--out", attempt]) == 0
+    assert json.loads(capsys.readouterr().out) == _sink_counts(attempt)
+    assert main(["metrics", "--out", attempt]) == 0
+    assert f"skw_incoming_messages_total {n}" in capsys.readouterr().out
+
+
+def test_second_retry_redelivers_nothing(small_input, tmp_path,
+                                         ray_session):
+    """A row that passed on retry is never sent again: a second retry
+    with the same accept-all hooks finds nothing still rejected."""
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    assert retry_rejected(out, hooks=_accept_all()) == 78 * 3
+    assert retry_rejected(out, hooks=_accept_all()) == 0
+    assert os.listdir(os.path.join(out, "retries")) == ["000"]
+
+
+def test_retry_still_rejected_rows_go_to_the_next_attempt(
+        small_input, tmp_path, ray_session):
+    """An attempt records the rows its hooks still reject as rejected;
+    the next attempt retries exactly those, and passing rows summed
+    over all attempts are the run's rejected rows times the sinks."""
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    first = os.path.join(out, "retries", "000")
+    n0 = retry_rejected(out, hooks=_reject_some())
+    still = _keys(first, "kafka", "rejected")
+    assert 0 < len(still) < 78
+    assert n0 == (78 - len(still)) * 3
+
+    n1 = retry_rejected(out, hooks=_accept_all())
+    second = os.path.join(out, "retries", "001")
+    assert n1 == len(still) * 3
+    for sink in ("kafka", "file", "stderr"):
+        assert _keys(second, sink, "passing") == still
+    assert sum(m.n_in for m in load_manifests(second).values()) \
+        == len(still)
+    assert _passing(first) + _passing(second) == 78 * 3
+    assert retry_rejected(out, hooks=_accept_all()) == 0
+
+
+def test_file_arriving_after_a_retry_is_retried(small_input, tmp_path,
+                                                ray_session):
+    """A file that arrives after a retry has no attempt yet: the next
+    retry takes its rejected rows from the run, and only those."""
+    out = str(tmp_path / "out")
+    arrive = _hold_back(small_input, sorted(os.listdir(small_input))[2:],
+                        tmp_path)
+    run_partitioned(small_input, out)
+    first = retry_rejected(out, hooks=_accept_all())
+    arrive()
+    metrics = run_partitioned(small_input, out)
+    late = metrics[(metrics.part_id == 2) & (metrics.sink == "kafka")
+                   & (metrics.status == "rejected")]["n"].sum()
+    assert late > 0 and first + late * 3 == 78 * 3
+    assert retry_rejected(out, hooks=_accept_all()) == late * 3
+    assert set(load_manifests(os.path.join(out, "retries", "001"))) == {2}
+
+
+def test_retry_reads_only_files_with_rejected_rows(small_input, tmp_path,
+                                                   ray_session):
+    """An input file whose manifest counts no rejected row is not read
+    by a retry: it may be gone by then."""
+    import pyarrow.compute as pc
+    first = sorted(os.listdir(small_input))[0]
+    t = pq.read_table(os.path.join(small_input, first))
+    clean = os.path.join(small_input, "zzz-clean.parquet")
+    pq.write_table(t.filter(pc.invert(pc.match_substring(t["text"],
+                                                         "reject-me"))),
+                   clean)
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    m = next(m for m in load_manifests(out).values()
+             if m.input_file == clean)
+    assert m.n_in > 0 and not [k for k in m.counts if "/rejected/" in k]
+    os.remove(clean)
+    assert retry_rejected(out, hooks=_accept_all()) == 78 * 3
+    assert m.part_id not in load_manifests(os.path.join(out, "retries",
+                                                        "000"))
+
+
+def test_retry_attempt_that_lost_a_manifest_is_redone_in_place(
+        small_input, tmp_path, ray_session):
+    """A retry attempt missing a manifest was never acked: the next
+    call redoes it under the same attempt number, with a clean
+    attempt's counts, instead of starting the next one."""
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    n = retry_rejected(out, hooks=_reject_some())
+    attempt = os.path.join(out, "retries", "000")
+    clean = _sink_counts(attempt)
+    lost = sorted(load_manifests(attempt))[1]
+    os.remove(os.path.join(attempt, "_lineage", f"part-{lost:05d}.json"))
+    assert retry_rejected(out, hooks=_reject_some()) == n
+    assert os.listdir(os.path.join(out, "retries")) == ["000"]
+    assert lost in load_manifests(attempt)
+    assert _sink_counts(attempt) == clean
+
+
+def test_input_dir_named_like_a_scale_factor_is_read_as_given(
+        tmp_path, ray_session):
+    """Only a basename that is exactly ``sf<number>`` names a testdata
+    scale; any other input dir, ``sftp_drop`` included, is read as is."""
+    from skewer_ray.pipelines.flagship import read_transcripts
+    from skewer_ray.state.manifest import _list_input_files
+    t = pq.read_table(ensure_transcripts("/root/testdata/sf0.001"))
+    d = tmp_path / "sftp_drop"
+    d.mkdir()
+    pq.write_table(t.slice(0, 100), d / "part-0.parquet")
+    assert _list_input_files(str(d)) == [os.path.realpath(d / "part-0.parquet")]
+    assert read_transcripts(str(d)).count() == 100
+    out = str(tmp_path / "out")
+    run_partitioned(str(d), out)
+    assert sum(m.n_in for m in load_manifests(out).values()) == 100
 
 
 def test_compaction_preserves_content(ray_session, tmp_path):

@@ -1,26 +1,17 @@
-"""Quiet-epoch scaling artifact collector.
+"""Scaling artifact collector: ONE interleaved round of
+``bench.py --single-run`` at N and 4N CPUs, appended to ARTIFACT.
 
-The sandbox host shows co-tenant CPU steal with >10x minute-to-minute
-throughput swings, so a scaling measurement is only meaningful when the
-box is quiet. This probe:
+A 4N-CPU run on a box with fewer than 4N cores measures contention, not
+scaling, so the probe refuses to record a row when
+``os.cpu_count() < 4 * base``.
 
-1. times a fixed single-thread workload (md5 over 32 MiB) and compares
-   it to the best time seen so far (stored next to the artifact);
-2. if the box is within QUIET_FACTOR of best, runs ONE interleaved
-   round of ``bench.py --single-run`` at N and 4N CPUs and appends the
-   result (with the probe reading) to BENCH_scaling_r02.jsonl.
-
-Run repeatedly across a session; the committed artifact keeps every
-round, quiet or not, plus the probe value that qualifies it — the
-scaling claim cites the quiet-epoch rounds.
-
-Usage: python tools/scaling_probe.py [--base 4] [--force]
+Usage: python tools/scaling_probe.py [--base 4] [--sf-dir DIR]
+       [--alternate K]
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -29,21 +20,6 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ARTIFACT = os.path.join(ROOT, "BENCH_scaling_r05.jsonl")
-STATE = "/tmp/skewer_ray_probe_best.json"
-QUIET_FACTOR = 1.15
-
-
-def probe_seconds() -> float:
-    """Fixed single-thread workload; wall time tracks host CPU steal."""
-    blob = b"x" * (1 << 25)
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        h = hashlib.md5(blob)
-        for _ in range(7):
-            h = hashlib.md5(h.digest() + blob)
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def one_bench(cpus: int, sf_dir: str | None = None,
@@ -67,8 +43,6 @@ def main():
     ap.add_argument("--sf-dir", default=None,
                     help="larger input (e.g. a synthetic sf0.5) so each "
                     "pass runs long enough to be ramp-free steady state")
-    ap.add_argument("--force", action="store_true",
-                    help="record a round even on a noisy box")
     ap.add_argument("--alternate", type=int, default=0, metavar="K",
                     help="protocol v4: K adjacent (N, 4N) single-pass "
                          "subprocess pairs; per-pair efficiency, median "
@@ -77,18 +51,10 @@ def main():
                          "minutes (whole arm) to ~1 min (one pair).")
     args = ap.parse_args()
 
-    p = probe_seconds()
-    best = p
-    if os.path.exists(STATE):
-        with open(STATE) as fh:
-            best = min(p, json.load(fh)["best"])
-    with open(STATE, "w") as fh:
-        json.dump({"best": best}, fh)
-    quiet = p <= best * QUIET_FACTOR
-    print(f"probe {p:.3f}s (best {best:.3f}s) -> "
-          f"{'QUIET' if quiet else 'noisy'}")
-    if not quiet and not args.force:
-        return
+    cores = os.cpu_count() or 1
+    if cores < 4 * args.base:
+        sys.exit(f"{cores} cores < 4 x base {args.base}: a {4 * args.base}"
+                 "-CPU run here measures contention; no row recorded")
 
     if args.alternate:
         import statistics
@@ -97,7 +63,6 @@ def main():
             lo = one_bench(args.base, args.sf_dir, passes=1)
             hi = one_bench(args.base * 4, args.sf_dir, passes=1)
             pairs.append((lo["turns_per_sec"], hi["turns_per_sec"]))
-        p2 = probe_seconds()
         effs = [(h / l) / 4.0 for l, h in pairs]
         # the round's efficiency IS one concrete pair's efficiency (the
         # lower-middle by rank), so the recorded turns_per_sec fields
@@ -113,10 +78,6 @@ def main():
             "sf": os.path.basename(os.path.normpath(args.sf_dir))
                   if args.sf_dir else "sf0.1",
             "base": args.base,
-            "probe_before_s": round(p, 3),
-            "probe_after_s": round(p2, 3),
-            "probe_best_s": round(best, 3),
-            "quiet": quiet and p2 <= best * QUIET_FACTOR,
             "pairs": [[round(l, 1), round(h, 1)] for l, h in pairs],
             "pair_efficiencies": [round(e, 3) for e in effs],
             f"turns_per_sec_{args.base}cpu": pairs[k][0],
@@ -130,7 +91,6 @@ def main():
 
     lo = one_bench(args.base, args.sf_dir)
     hi = one_bench(args.base * 4, args.sf_dir)
-    p2 = probe_seconds()
     eff = (hi["turns_per_sec"] / lo["turns_per_sec"]) / 4.0
     row = {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -143,10 +103,6 @@ def main():
         "sf": os.path.basename(os.path.normpath(args.sf_dir))
               if args.sf_dir else "sf0.1",
         "base": args.base,
-        "probe_before_s": round(p, 3),
-        "probe_after_s": round(p2, 3),
-        "probe_best_s": round(best, 3),
-        "quiet": quiet and p2 <= best * QUIET_FACTOR,
         f"turns_per_sec_{args.base}cpu": lo["turns_per_sec"],
         f"turns_per_sec_{args.base * 4}cpu": hi["turns_per_sec"],
         "efficiency": round(eff, 3),
