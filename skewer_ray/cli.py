@@ -49,7 +49,7 @@ def file_watcher(path: str):
     return poll
 
 
-def http_kv_watcher(url: str, timeout: float = 10.0):
+def http_kv_watcher(url: str):
     """Consul-style dynamic-config watch (consul/dynamicconf.go: a
     blocking KV query whose ModifyIndex advances on change), reduced
     to its batch-loop form: poll ``url`` between passes; the version
@@ -60,7 +60,7 @@ def http_kv_watcher(url: str, timeout: float = 10.0):
     import urllib.request
 
     def poll() -> tuple[str, str]:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=10.0) as resp:
             body = resp.read()
             idx = resp.headers.get("X-Consul-Index")
         fp = idx if idx else hashlib.md5(body).hexdigest()

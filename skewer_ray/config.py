@@ -167,17 +167,15 @@ class SinkConfig:
         (filedest.go:199-263 — the filename is a template over msg fields).
     kind "stderr": single catch-all route.
 
-    ``framing``: "" (none), "octet" (TCP octet-counted,
-    encoders/encoder.go:139-157) or "relp" (RELP frame with
-    deterministic txnr = turn_idx, encoders/encoder.go:159-178) —
-    applied to the encoded payload in the fan-out stage.
+    Wire framing (octet counting, RELP) belongs to the transport: the
+    client sinks frame each row with ``encoders.frame_octet`` /
+    ``frame_relp``.
     """
 
     name: str
     kind: str = "kafka"
     encoder: str = "rfc5424"
     filename_tmpl: str = "{appname}_{date}"
-    framing: str = ""
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Decoder registry — the Ray-side equivalent of decoders/decode.go:19-30.
 
 ``get_decoder(cfg)`` returns a block-level callable
-``f(texts, ts_ns, out: RecordBuilder)``; built decoders are cached by
-config key, mirroring the reference's murmur3-keyed parser cache
-(decoders/decode.go:147-172). Custom user parsers (the reference's JS
+``f(texts, ts_ns, out: RecordBuilder)``; ParseStage calls it once per
+task, so no parser cache is kept (the reference keys one by murmur3,
+decoders/decode.go:147-172). Custom user parsers (the reference's JS
 ``[[parser]]`` surface, decoders/decode.go:131-145 + javascript/vm.go)
 are Python callables registered by name with
 :func:`register_custom_parser`; they compile/SETUP once per process —
@@ -82,7 +82,6 @@ _NATIVE = {
     "protobuf": protobuf_format.decode_block,
     "w3c": w3c.decode_block,
     "ltsv": ltsv.decode_block,
-    "ltsv_stub": ltsv.decode_stub_block,
 }
 
 # Arrow fast paths, one per built-in wire format except the binary ones
@@ -108,22 +107,12 @@ def get_decoder_vec(cfg: DecoderConfig):
     return _NATIVE_VEC.get(cfg.format)
 
 
-_CACHE: dict[tuple, callable] = {}
-
-
 def get_decoder(cfg: DecoderConfig):
-    key = cfg.key()
-    dec = _CACHE.get(key)
-    if dec is not None:
-        return dec
     if cfg.format in _NATIVE:
-        base = _NATIVE[cfg.format]
-    elif cfg.format == "custom":
-        base = _custom_block(cfg.custom_parser)
-    else:
-        raise ValueError(f"unknown decoder format: {cfg.format}")
-    _CACHE[key] = base
-    return base
+        return _NATIVE[cfg.format]
+    if cfg.format == "custom":
+        return _custom_block(cfg.custom_parser)
+    raise ValueError(f"unknown decoder format: {cfg.format}")
 
 
 __all__ = [

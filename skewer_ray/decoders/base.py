@@ -25,9 +25,6 @@ class DecoderConfig:
     w3c_fields: str = ""          # space-separated field names (decoders/w3c.go:14-20)
     custom_parser: str = ""       # registered user-parser name (decoders/decode.go:131-145)
 
-    def key(self):
-        return (self.format, self.w3c_fields, self.custom_parser)
-
 
 class RecordBuilder:
     """Column-wise accumulator for parsed records (one list per column)."""
@@ -68,3 +65,16 @@ class RecordBuilder:
 
     def __len__(self):
         return len(self.row_idx)
+
+
+def per_line(decode_one):
+    """The block decoder of a per-line ``decode_one(line, ts_ns, out,
+    row)``: an empty line decodes to no message, as ParsersEnv.Parse
+    does (decoders/decode.go:104-106)."""
+
+    def decode_block(texts, ts_ns, out: RecordBuilder, cfg=None):
+        for row, (line, n) in enumerate(zip(texts, ts_ns)):
+            if line:
+                decode_one(line, n, out, row)
+
+    return decode_block

@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import vec
-from .base import RecordBuilder
+from .base import RecordBuilder, per_line
 from ..constants import F_USER, FACILITIES, facility_from_string
 from ..schema import props_dumps
 
@@ -78,11 +78,7 @@ def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
             props=props_dumps({"gelf": gelf_props} if gelf_props else {}))
 
 
-def decode_block(texts, ts_ns, out: RecordBuilder, cfg=None):
-    for row, (line, n) in enumerate(zip(texts, ts_ns)):
-        if not line:
-            continue
-        decode_one(line, n, out, row)
+decode_block = per_line(decode_one)
 
 
 # ---------------------------------------------------------------------------

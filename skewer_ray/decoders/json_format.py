@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import vec
-from .base import RecordBuilder
+from .base import RecordBuilder, per_line
 from .rfc3164 import _parse_rfc3339_ns
 from ..constants import (F_USER, FACILITIES, S_INFO, SEVERITIES,
                          facility_from_string, severity_from_string)
@@ -128,18 +128,8 @@ def decode_rsyslog_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
             props=props_dumps({"rsyslog": rsys} if rsys else {}))
 
 
-def decode_json_block(texts, ts_ns, out: RecordBuilder, cfg=None):
-    for row, (line, n) in enumerate(zip(texts, ts_ns)):
-        if not line:
-            continue
-        decode_json_one(line, n, out, row)
-
-
-def decode_rsyslog_block(texts, ts_ns, out: RecordBuilder, cfg=None):
-    for row, (line, n) in enumerate(zip(texts, ts_ns)):
-        if not line:
-            continue
-        decode_rsyslog_one(line, n, out, row)
+decode_json_block = per_line(decode_json_one)
+decode_rsyslog_block = per_line(decode_rsyslog_one)
 
 
 # ---------------------------------------------------------------------------

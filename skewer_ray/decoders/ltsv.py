@@ -1,13 +1,12 @@
-"""LTSV decoders.
+"""LTSV decoder.
 
 The reference's LTSV decoder is an explicit stub returning no messages
-(decoders/ltsv.go:5-7) — ``ltsv_stub`` keeps that parity. ``ltsv`` is our
-real implementation (labeled tab-separated ``key:value`` pairs): ``time``
-(RFC3339) → TimeReported, ``host`` → HostName, ``app`` → AppName,
-``msg`` → Message, every other key → properties domain "ltsv";
-facility=user(1), severity=info(6) since LTSV carries no PRI. A
-repeated key keeps its last value; a ``time`` outside int64 nanoseconds
-is a decode error.
+(decoders/ltsv.go:5-7); ``ltsv`` here is a real implementation (labeled
+tab-separated ``key:value`` pairs): ``time`` (RFC3339) → TimeReported,
+``host`` → HostName, ``app`` → AppName, ``msg`` → Message, every other
+key → properties domain "ltsv"; facility=user(1), severity=info(6)
+since LTSV carries no PRI. A repeated key keeps its last value; a
+``time`` outside int64 nanoseconds is a decode error.
 """
 
 from __future__ import annotations
@@ -17,14 +16,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import vec
-from .base import RecordBuilder
+from .base import RecordBuilder, per_line
 from .rfc3164 import _parse_rfc3339_ns
 from ..schema import props_dumps
-
-
-def decode_stub_block(texts, ts_ns, out: RecordBuilder, cfg=None):
-    """Reference parity: every line decodes to zero messages, no error."""
-    return
 
 
 def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
@@ -54,11 +48,7 @@ def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
             msg=msg, props=props_dumps({"ltsv": extra} if extra else {}))
 
 
-def decode_block(texts, ts_ns, out: RecordBuilder, cfg=None):
-    for row, (line, n) in enumerate(zip(texts, ts_ns)):
-        if not line:
-            continue
-        decode_one(line, n, out, row)
+decode_block = per_line(decode_one)
 
 
 # ---------------------------------------------------------------------------

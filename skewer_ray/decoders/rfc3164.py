@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from datetime import datetime, timezone
 
-from .base import RecordBuilder
+from .base import RecordBuilder, per_line
 
 _STAMP_RE = re.compile(r"^([A-Z][a-z]{2}) +(\d{1,2}) (\d{2}):(\d{2}):(\d{2})$")
 # prefix form consuming Go's space-padded "Jan _2 15:04:05" stamp
@@ -110,12 +110,12 @@ def _stamp_groups_ns(m, year: int):
     return int(dt.timestamp()) * 1_000_000_000
 
 
-def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int, sub: int = 0):
+def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
     m = line.strip()
     n = ts_ns  # the reproducible now()
 
     def default_msg():
-        out.add(row, sub=sub, tr=n, tg=n, msg=m)
+        out.add(row, tr=n, tg=n, msg=m)
 
     if not m.startswith("<"):
         return default_msg()
@@ -129,7 +129,7 @@ def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int, sub: int = 0
     fac, sev = pri // 8, pri % 8
 
     def emit(tr=0, host="", app="", proc="", msg=""):
-        out.add(row, sub=sub, pri=pri, fac=fac, sev=sev, tr=tr, tg=n,
+        out.add(row, pri=pri, fac=fac, sev=sev, tr=tr, tg=n,
                 host=host, app=app, proc=proc, msg=msg)
 
     rest = m[pri_end + 1:].strip()
@@ -185,11 +185,7 @@ def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int, sub: int = 0
     return emit(tr=tr, host=s[0], app=app, proc=proc, msg=" ".join(s[2:]))
 
 
-def decode_block(texts, ts_ns, out: RecordBuilder, cfg=None):
-    for row, (line, n) in enumerate(zip(texts, ts_ns)):
-        if line is None or line == "":
-            continue  # ParsersEnv.Parse: empty input → no message (decode.go:104-106)
-        decode_one(line, n, out, row)
+decode_block = per_line(decode_one)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .base import RecordBuilder
+from .base import RecordBuilder, per_line
 from .rfc3164 import _parse_rfc3339_ns
 from ..encoders.vectorized import _render_unique
 from ..schema import props_dumps
@@ -134,11 +134,7 @@ def decode_one(line: str, ts_ns: int, out: RecordBuilder, row: int):
             msg=msg, props=props_dumps(props))
 
 
-def decode_block(texts, ts_ns, out: RecordBuilder, cfg=None):
-    for row, (line, n) in enumerate(zip(texts, ts_ns)):
-        if not line:
-            continue
-        decode_one(line, n, out, row)
+decode_block = per_line(decode_one)
 
 
 # ---------------------------------------------------------------------------

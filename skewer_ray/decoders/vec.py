@@ -86,15 +86,15 @@ def fallback(n: int, fast: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
-def join_skip_null(pieces: list, sep: str = ","):
-    """Join the non-null ``pieces`` per row with ``sep``; "" where every
+def join_skip_null(pieces: list):
+    """Join the non-null ``pieces`` per row with ","; "" where every
     piece is null. A constant "" piece goes first: pyarrow 16.1's
     ``null_handling="skip"`` drops rows whose pieces are all null
-    (three rows in, two out), so the result carries a leading ``sep``
+    (three rows in, two out), so the result carries a leading ","
     that is sliced off."""
-    joined = pc.binary_join_element_wise("", *pieces, sep,
+    joined = pc.binary_join_element_wise("", *pieces, ",",
                                          null_handling="skip")
-    return pc.utf8_slice_codeunits(joined, len(sep))
+    return pc.utf8_slice_codeunits(joined, 1)
 
 
 def props_json(domain: str, pieces: list):

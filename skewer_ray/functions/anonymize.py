@@ -61,7 +61,7 @@ def pseudonymize_hosts(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return mapped.take(d.indices)
 
 
-def anonymize_hosts(parsed_ds, fams=(0, 1, 2, 3)):
+def anonymize_hosts(parsed_ds):
     """(conv_id, turn_idx, hostname→pseudonym, appname, scrubbed message)
     over the syslog families of the parsed stream."""
     import numpy as np
@@ -69,7 +69,7 @@ def anonymize_hosts(parsed_ds, fams=(0, 1, 2, 3)):
     from ..stages.parse import family_array
 
     def fn(batch: pa.Table) -> pa.Table:
-        mask = np.isin(family_array(batch["conv_id"]), fams)
+        mask = np.isin(family_array(batch["conv_id"]), (0, 1, 2, 3))
         batch = batch.filter(pa.array(mask))
         return pa.table({
             "conv_id": batch["conv_id"],

@@ -83,7 +83,7 @@ def bpe_merge_candidates(docs_ds, top_k: int = TOP_PAIRS) -> pa.Table:
     })
 
 
-def bpe_encode(docs_ds, top_k: int = TOP_PAIRS):
+def bpe_encode(docs_ds):
     """Train-then-apply: encode every word with the round-0 top-K merge
     list and report per-doc token statistics — the full tokenizer
     train+apply loop as one pipeline (train = the bounded pair-count
@@ -107,7 +107,7 @@ def bpe_encode(docs_ds, top_k: int = TOP_PAIRS):
 
     from .textstats import norm_words
 
-    cand = bpe_merge_candidates(docs_ds, top_k)
+    cand = bpe_merge_candidates(docs_ds, TOP_PAIRS)
     merges = [(ls, rs) for ls, rs in zip(cand["left_sym"].to_pylist(),
                                          cand["right_sym"].to_pylist())]
     bc = ray.put(merges)

@@ -28,20 +28,19 @@ import pyarrow.compute as pc
 SAMPLE_PREFIX = 0x1A  # keep rows whose md5(key) first byte < 0x1a (26/256)
 
 
-def sample_docs(docs_ds, key_col: str = "doc_id",
-                keep_below: int = SAMPLE_PREFIX,
-                cols: tuple[str, ...] = ("doc_id", "lang", "source")):
-    """Deterministic ~(keep_below/256) sample: keep rows where
-    md5(str(key))[0] < keep_below. Oracle: substr(md5(..),1,2) <
-    hex(keep_below) — lexicographic hex compare equals the byte
+def sample_docs(docs_ds):
+    """Deterministic ~(SAMPLE_PREFIX/256) sample: keep rows where
+    md5(str(doc_id))[0] < SAMPLE_PREFIX. Oracle: substr(md5(..),1,2) <
+    hex(SAMPLE_PREFIX) — lexicographic hex compare equals the byte
     compare."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_pylist()
+        keys = batch["doc_id"].to_pylist()
         keep = np.fromiter(
-            (hashlib.md5(str(k).encode()).digest()[0] < keep_below
+            (hashlib.md5(str(k).encode()).digest()[0] < SAMPLE_PREFIX
              for k in keys), dtype=bool, count=len(keys))
-        return batch.select(list(cols)).filter(pa.array(keep))
+        return batch.select(["doc_id", "lang", "source"]).filter(
+            pa.array(keep))
 
     return docs_ds.map_batches(fn, batch_format="pyarrow")
 
@@ -62,8 +61,7 @@ def local_topk_table(batch: pa.Table, group_col: str, order_col: str,
 
 
 def cap_per_group(docs_ds, group_col: str = "source",
-                  order_col: str = "doc_id", k: int = 50,
-                  cols: tuple[str, ...] = ("doc_id", "source", "lang")):
+                  order_col: str = "doc_id", k: int = 50):
     """Keep the K smallest ``order_col`` rows per ``group_col`` (quota
     capping, e.g. max N documents per domain).
 
@@ -72,7 +70,8 @@ def cap_per_group(docs_ds, group_col: str = "source",
     top-K per group. Associative, so two-phase is exact."""
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        return local_topk_table(batch, group_col, order_col, k, cols)
+        return local_topk_table(batch, group_col, order_col, k,
+                                ("doc_id", "source", "lang"))
 
     partials = docs_ds.map_batches(local_topk, batch_format="pyarrow")
     return partials.groupby(group_col).map_groups(
@@ -113,17 +112,16 @@ def chunk_table(batch: pa.Table, size: int, stride: int,
                      "chunk": cat(chunks)})
 
 
-def chunk_docs(docs_ds, size: int = 200, stride: int = 150,
-               id_col: str = "doc_id", text_col: str = "text"):
+def chunk_docs(docs_ds, size: int = 200, stride: int = 150):
     """1→N sliding-window chunks: (doc_id, chunk_idx, chunk) with
     ``chunk = text[chunk_idx*stride : chunk_idx*stride + size]``, for
     every chunk_idx with chunk_idx*stride < len(text). Chunk count per
     batch is bounded by the longest document, not the row count."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        return chunk_table(batch, size, stride, id_col, text_col)
+        return chunk_table(batch, size, stride, "doc_id", "text")
 
-    return docs_ds.select_columns([id_col, text_col]).map_batches(
+    return docs_ds.select_columns(["doc_id", "text"]).map_batches(
         fn, batch_format="pyarrow")
 
 
@@ -135,28 +133,24 @@ STRATA_BOUNDS = {"en": 0x20, "zh": 0x80, "es": 0x80, "de": 0xc0,
 STRATA_DEFAULT = 0x40
 
 
-def stratified_sample(docs_ds, strata_col: str = "lang",
-                      key_col: str = "doc_id",
-                      bounds: dict[str, int] | None = None,
-                      default: int = STRATA_DEFAULT,
-                      cols: tuple[str, ...] = ("doc_id", "lang", "source")):
+def stratified_sample(docs_ds):
     """Deterministic per-stratum sampling: keep a row iff
-    md5(str(key))[0] < bounds[stratum]. Same pure-function membership
-    as ``sample_docs`` (reproducible across engines/partitionings, no
-    RNG state, map-only — nothing shuffles), but the keep-rate is a
-    per-group knob, which is how corpus language/source rebalancing is
-    actually run at scale."""
-    bounds = STRATA_BOUNDS if bounds is None else bounds
+    md5(str(doc_id))[0] < STRATA_BOUNDS.get(lang, STRATA_DEFAULT). Same
+    pure-function membership as ``sample_docs`` (reproducible across
+    engines/partitionings, no RNG state, map-only — nothing shuffles),
+    but the keep-rate is per group, which is how corpus language/source
+    rebalancing is actually run at scale."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_pylist()
-        strata = batch[strata_col].to_pylist()
+        keys = batch["doc_id"].to_pylist()
+        strata = batch["lang"].to_pylist()
         keep = np.fromiter(
             (hashlib.md5(str(k).encode()).digest()[0]
-             < bounds.get(s, default)
+             < STRATA_BOUNDS.get(s, STRATA_DEFAULT)
              for k, s in zip(keys, strata)),
             dtype=bool, count=len(keys))
-        return batch.select(list(cols)).filter(pa.array(keep))
+        return batch.select(["doc_id", "lang", "source"]).filter(
+            pa.array(keep))
 
     return docs_ds.map_batches(fn, batch_format="pyarrow")
 
@@ -191,8 +185,7 @@ def weighted_sample_docs(docs_ds):
 MIX_TARGETS = {"en": 40, "zh": 15, "es": 15, "de": 15, "fr": 15}
 
 
-def rebalance_mix(docs_ds, targets: dict[str, int] | None = None,
-                  key_col: str = "doc_id", lang_col: str = "lang",
+def rebalance_mix(docs_ds,
                   cols: tuple[str, ...] = ("doc_id", "lang", "source")):
     """Corpus mix rebalancing: downsample each language so the surviving
     corpus matches a target mix (integer weights), keeping as much data
@@ -211,21 +204,19 @@ def rebalance_mix(docs_ds, targets: dict[str, int] | None = None,
     ``sample_docs``, reproducible across engines and partitionings.
     Languages without a target weight are dropped (mix spec semantics).
     """
-    targets = MIX_TARGETS if targets is None else targets
-
     def cnt(b: pa.Table) -> pa.Table:
-        t = pa.table({"lang": b[lang_col],
+        t = pa.table({"lang": b["lang"],
                       "n": pa.array(np.ones(b.num_rows, np.int64))})
         return t.group_by("lang").aggregate([("n", "sum")])
 
     acc: dict[str, int] = {}
-    for b in (docs_ds.select_columns([lang_col])
+    for b in (docs_ds.select_columns(["lang"])
               .map_batches(cnt, batch_format="pyarrow")
               .iter_batches(batch_format="pyarrow")):
         for r in b.to_pylist():
             acc[r["lang"]] = acc.get(r["lang"], 0) + r["n_sum"]
 
-    items = [(lang, acc[lang], w) for lang, w in sorted(targets.items())
+    items = [(lang, acc[lang], w) for lang, w in sorted(MIX_TARGETS.items())
              if acc.get(lang)]
     if not items:
         return docs_ds.limit(0).select_columns(list(cols))
@@ -239,8 +230,8 @@ def rebalance_mix(docs_ds, targets: dict[str, int] | None = None,
     rules = {lang: (mw * n, (1 << 64) * w * mn) for lang, n, w in items}
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_pylist()
-        langs = batch[lang_col].to_pylist()
+        keys = batch["doc_id"].to_pylist()
+        langs = batch["lang"].to_pylist()
         keep = np.fromiter(
             (lang in rules and
              int.from_bytes(hashlib.md5(str(k).encode()).digest()[:8],
@@ -260,20 +251,19 @@ PACK_BUDGET = 512      # tokens per training sequence
 PACK_BUCKETS = 4096    # segments of the distributed prefix scan
 
 
-def _word_counts(batch: pa.Table, text_col: str = "text") -> pa.Array:
+def _word_counts(batch: pa.Table) -> pa.Array:
     """Vectorized canonical word count — len(norm_words(text)) without
     the Python loop: trim, regex-split on whitespace runs, list length,
     0 for all-whitespace text (matches textstats.norm_words and the
     DuckDB ``string_split_regex(trim(text), '\\s+')`` oracle)."""
-    trimmed = pc.utf8_trim_whitespace(batch[text_col])
+    trimmed = pc.utf8_trim_whitespace(batch["text"])
     n = pc.list_value_length(pc.split_pattern_regex(trimmed, r"\s+"))
     return pc.if_else(pc.equal(trimmed, ""), pa.scalar(0, pa.int32()),
                       n)
 
 
 def pack_sequences(docs_ds, max_key: int, budget: int = PACK_BUDGET,
-                   n_buckets: int = PACK_BUCKETS,
-                   key_col: str = "doc_id", text_col: str = "text"):
+                   n_buckets: int = PACK_BUCKETS):
     """GPT-style concat-and-cut sequence packing: documents are laid
     end-to-end in key order and cut every ``budget`` tokens; a document
     belongs to the pack where it STARTS (pack_id =
@@ -297,8 +287,8 @@ def pack_sequences(docs_ds, max_key: int, budget: int = PACK_BUDGET,
     span = max(1, (max_key + n_buckets) // n_buckets)
 
     def derive(batch: pa.Table) -> pa.Table:
-        keys = pc.cast(batch[key_col], pa.int64())
-        toks = pc.cast(_word_counts(batch, text_col), pa.int64())
+        keys = pc.cast(batch["doc_id"], pa.int64())
+        toks = pc.cast(_word_counts(batch), pa.int64())
         bucket = pc.divide(keys, span)
         return pa.table({"key": keys, "toks": toks, "bucket": bucket})
 
@@ -416,32 +406,31 @@ DSIR_N_FEAT = 1024       # hashed-unigram feature buckets
 DSIR_TARGET_LANG = "en"  # target domain = the corpus' English slice
 
 
-def _dsir_bucket(w: str, n_feat: int = DSIR_N_FEAT) -> int:
-    """Hashed-ngram feature index: md5(word)[:8 hex] mod n_feat —
+def _dsir_bucket(w: str) -> int:
+    """Hashed-ngram feature index: md5(word)[:8 hex] mod DSIR_N_FEAT —
     md5 so the DuckDB oracle replicates the bucketing bit-for-bit."""
-    return int(hashlib.md5(w.encode()).hexdigest()[:8], 16) % n_feat
+    return int(hashlib.md5(w.encode()).hexdigest()[:8], 16) % DSIR_N_FEAT
 
 
-def dsir_scores(docs_ds, target_lang: str = DSIR_TARGET_LANG,
-                n_feat: int = DSIR_N_FEAT):
+def dsir_scores(docs_ds):
     """DSIR-style data selection (Xie et al. 2023, "Data Selection for
     Language Models via Importance Resampling"), exact-integer variant:
     score every document by how much more likely its hashed-unigram
     bag is under the TARGET domain's unigram model (here: the corpus'
-    ``target_lang`` slice) than under the SOURCE model (the whole
+    ``DSIR_TARGET_LANG`` slice) than under the SOURCE model (the whole
     corpus). Output one row per doc with ≥1 word:
     (doc_id, dsir_score, kept = score > 0).
 
     Instead of the paper's float log-likelihood ratio, both models are
     Laplace-smoothed integer parts-per-million —
-    ``ppm(f) = (count_f + 1)·10⁶ // (total + n_feat)`` — and the score
-    is Σ over word occurrences of (ppm_target − ppm_source): exact
+    ``ppm(f) = (count_f + 1)·10⁶ // (total + DSIR_N_FEAT)`` — and the
+    score is Σ over word occurrences of (ppm_target − ppm_source): exact
     int64 arithmetic, so the DuckDB oracle matches bit-for-bit (never
     compare floating log-sums across engines).
 
     Shape (the decontam.py broadcast pattern): pass 1 folds per-batch
-    bucket-count partials into two n_feat-long vectors (the exchange is
-    ≤ n_feat rows per batch — bounded by the feature space, never the
+    bucket-count partials into two DSIR_N_FEAT-long vectors (the exchange is
+    ≤ DSIR_N_FEAT rows per batch — bounded by the feature space, never the
     corpus); the ppm-difference vector is ``ray.put`` ONCE and scoring
     is a pure map over the docs — no shuffle touches the text. Two
     corpus scans total (model fit, then scoring), inherent to DSIR."""
@@ -450,34 +439,34 @@ def dsir_scores(docs_ds, target_lang: str = DSIR_TARGET_LANG,
     from .textstats import norm_words
 
     def partial(b: pa.Table) -> pa.Table:
-        tgt = np.zeros(n_feat, np.int64)
-        src = np.zeros(n_feat, np.int64)
+        tgt = np.zeros(DSIR_N_FEAT, np.int64)
+        src = np.zeros(DSIR_N_FEAT, np.int64)
         cache: dict[str, int] = {}
         for lg, t in zip(b["lang"].to_pylist(), b["text"].to_pylist()):
             ws = norm_words(t)
             if not ws:
                 continue
-            bk = np.array([cache.setdefault(w, _dsir_bucket(w, n_feat))
+            bk = np.array([cache.setdefault(w, _dsir_bucket(w))
                            for w in ws], np.int64)
-            cnt = np.bincount(bk, minlength=n_feat)
+            cnt = np.bincount(bk, minlength=DSIR_N_FEAT)
             src += cnt
-            if lg == target_lang:
+            if lg == DSIR_TARGET_LANG:
                 tgt += cnt
         nz = np.nonzero(src)[0]
         return pa.table({"b": pa.array(nz, pa.int64()),
                          "tgt": pa.array(tgt[nz], pa.int64()),
                          "src": pa.array(src[nz], pa.int64())})
 
-    tgt = np.zeros(n_feat, np.int64)
-    src = np.zeros(n_feat, np.int64)
+    tgt = np.zeros(DSIR_N_FEAT, np.int64)
+    src = np.zeros(DSIR_N_FEAT, np.int64)
     parts = docs_ds.select_columns(["lang", "text"]) \
         .map_batches(partial, batch_format="pyarrow")
     for b in parts.iter_batches(batch_format="pyarrow"):
         idx = b["b"].to_numpy(zero_copy_only=False)
         np.add.at(tgt, idx, b["tgt"].to_numpy(zero_copy_only=False))
         np.add.at(src, idx, b["src"].to_numpy(zero_copy_only=False))
-    ppm_t = (tgt + 1) * 1_000_000 // (int(tgt.sum()) + n_feat)
-    ppm_s = (src + 1) * 1_000_000 // (int(src.sum()) + n_feat)
+    ppm_t = (tgt + 1) * 1_000_000 // (int(tgt.sum()) + DSIR_N_FEAT)
+    ppm_s = (src + 1) * 1_000_000 // (int(src.sum()) + DSIR_N_FEAT)
     diff_ref = ray.put(ppm_t - ppm_s)
 
     def score(b: pa.Table) -> pa.Table:
@@ -488,7 +477,7 @@ def dsir_scores(docs_ds, target_lang: str = DSIR_TARGET_LANG,
             ws = norm_words(t)
             if not ws:
                 continue
-            bk = np.array([cache.setdefault(w, _dsir_bucket(w, n_feat))
+            bk = np.array([cache.setdefault(w, _dsir_bucket(w))
                            for w in ws], np.int64)
             o_id.append(d)
             o_sc.append(int(diff[bk].sum()))
@@ -502,21 +491,20 @@ def dsir_scores(docs_ds, target_lang: str = DSIR_TARGET_LANG,
         .map_batches(score, batch_format="pyarrow")
 
 
-def quality_filter_docs(docs_ds, p: float = QUALITY_P,
-                        scale: int = QUALITY_SCALE):
-    """Keep documents at or above the global p-th quantile of the
+def quality_filter_docs(docs_ds):
+    """Keep documents at or above the global QUALITY_P quantile of the
     quality score — the Gopher/C4-style corpus gate, with the threshold
     LEARNED from the corpus rather than hand-set. Two passes over a
     narrow materialized (doc_id, qk, quality) projection (text is
     scanned once): the quantile is a counting sort over the quantized
-    score domain (≤ ``scale`` cells regardless of corpus size — partial
-    (qk, count) rows combine map-side, driver merges the bounded
-    histogram and index-selects at ceil(p·n)−1, DuckDB quantile_disc
-    semantics), then a broadcast-scalar filter. Quantization uses
-    floor(quality × scale), identical across engines given identical
+    score domain (≤ ``QUALITY_SCALE`` cells regardless of corpus size —
+    partial (qk, count) rows combine map-side, driver merges the bounded
+    histogram and index-selects at ceil(QUALITY_P·n)−1, DuckDB
+    quantile_disc semantics), then a broadcast-scalar filter. Quantization uses
+    floor(quality × QUALITY_SCALE), identical across engines given identical
     doubles — no round-half mode skew."""
-    scores = _quality_scores(docs_ds, scale)
-    thr = _hist_quantile(_quality_hist(scores), p)
+    scores = _quality_scores(docs_ds, QUALITY_SCALE)
+    thr = _hist_quantile(_quality_hist(scores), QUALITY_P)
 
     def keep(b: pa.Table) -> pa.Table:
         return b.filter(pc.greater_equal(b["qk"], thr)) \
@@ -525,25 +513,25 @@ def quality_filter_docs(docs_ds, p: float = QUALITY_P,
     return scores.map_batches(keep, batch_format="pyarrow")
 
 
-def rank_docs(docs_ds, scale: int = QUALITY_SCALE):
+def rank_docs(docs_ds):
     """Global quality ranking (dense row numbers over ORDER BY quality
     DESC, doc_id) WITHOUT a global sort exchange.
 
-    Shape: the bounded qk histogram (map-side combine, ≤ ``scale``
-    cells) gives each quantized score cell its exact global rank offset
-    = count of rows in strictly higher cells (floor quantization is
-    order-preserving: higher cell ⇒ strictly higher quality). The
-    offsets dict is broadcast once (`ray.put`); a single groupby(qk)
-    co-locates each cell, whose rows are sorted locally (quality desc,
-    doc_id asc) and numbered offset+1… — so the only all-to-all moves
-    narrow (doc_id, qk, quality) rows partitioned by a bounded key,
-    and no range-partitioned global sort (with its sample-based
-    boundary estimation and skew sensitivity) is needed. Cell skew is
-    capped by the score quantization: a cell holds only ties within
-    1/scale of quality."""
+    Shape: the bounded qk histogram (map-side combine, ≤
+    ``QUALITY_SCALE`` cells) gives each quantized score cell its exact
+    global rank offset = count of rows in strictly higher cells (floor
+    quantization is order-preserving: higher cell ⇒ strictly higher
+    quality). The offsets dict is broadcast once (`ray.put`); a single
+    groupby(qk) co-locates each cell, whose rows are sorted locally
+    (quality desc, doc_id asc) and numbered offset+1… — so the only
+    all-to-all moves narrow (doc_id, qk, quality) rows partitioned by a
+    bounded key, and no range-partitioned global sort (with its
+    sample-based boundary estimation and skew sensitivity) is needed.
+    Cell skew is capped by the score quantization: a cell holds only
+    ties within 1/QUALITY_SCALE of quality."""
     import ray
 
-    scores = _quality_scores(docs_ds, scale)
+    scores = _quality_scores(docs_ds, QUALITY_SCALE)
     acc = _quality_hist(scores)
     cum = 0
     offsets: dict[int, int] = {}
@@ -566,19 +554,18 @@ def rank_docs(docs_ds, scale: int = QUALITY_SCALE):
                                            batch_format="pyarrow")
 
 
-def shard_docs(docs_ds, n_shards: int = N_SHARDS,
-               key_col: str = "doc_id", text_col: str = "text"):
-    """Deterministic training-shard layout: shard = md5(key)[0] mod
-    n_shards (pure function of the row — reproducible across engines,
+def shard_docs(docs_ds):
+    """Deterministic training-shard layout: shard = md5(doc_id)[0] mod
+    N_SHARDS (pure function of the row — reproducible across engines,
     partitionings and reruns, no RNG state), reported as per-shard
     (n_docs, tokens). Map-only with map-side combine; the driver merge
-    touches n_shards scalars."""
+    touches N_SHARDS scalars."""
     def partial(b: pa.Table) -> pa.Table:
-        keys = b[key_col].to_pylist()
+        keys = b["doc_id"].to_pylist()
         shard = np.fromiter(
-            (hashlib.md5(str(k).encode()).digest()[0] % n_shards
+            (hashlib.md5(str(k).encode()).digest()[0] % N_SHARDS
              for k in keys), np.int64, len(keys))
-        toks = pc.cast(_word_counts(b, text_col), pa.int64())
+        toks = pc.cast(_word_counts(b), pa.int64())
         t = pa.table({"shard_id": pa.array(shard),
                       "n": pa.array(np.ones(len(keys), np.int64)),
                       "toks": toks})
@@ -600,8 +587,7 @@ def shard_docs(docs_ds, n_shards: int = N_SHARDS,
     })
 
 
-def curate_docs(docs_ds, p: float = QUALITY_P, scale: int = QUALITY_SCALE,
-                targets: dict[str, int] | None = None):
+def curate_docs(docs_ds):
     """Composed curation flagship: quality gate → exact dedup →
     mix rebalance as ONE streaming job over a single text scan.
 
@@ -614,7 +600,7 @@ def curate_docs(docs_ds, p: float = QUALITY_P, scale: int = QUALITY_SCALE,
          the same pass), materialized — at 100 TB this is the only
          full-width read; everything after touches 4 thin columns;
       2. global p-quantile gate: bounded qk histogram (map-side
-         combine, ≤ ``scale`` cells) → broadcast threshold filter;
+         combine, ≤ ``QUALITY_SCALE`` cells) → broadcast threshold filter;
       3. exact dedup among gate SURVIVORS: hash-bucket keyed exchange,
          min-doc_id row kept per content hash (vectorized idxmin over
          all of a bucket's groups);
@@ -627,7 +613,8 @@ def curate_docs(docs_ds, p: float = QUALITY_P, scale: int = QUALITY_SCALE,
 
     def derive(b: pa.Table) -> pa.Table:
         s = text_stats_batch(b)
-        qk = pc.cast(pc.floor(pc.multiply(s["quality"], scale)), pa.int64())
+        qk = pc.cast(pc.floor(pc.multiply(s["quality"], QUALITY_SCALE)),
+                     pa.int64())
         hs = [hashlib.md5(" ".join(norm_words(t)).encode()).hexdigest()
               for t in b["text"].to_pylist()]
         return pa.table({"doc_id": pc.cast(b["doc_id"], pa.int64()),
@@ -638,7 +625,7 @@ def curate_docs(docs_ds, p: float = QUALITY_P, scale: int = QUALITY_SCALE,
     proj = docs_ds.map_batches(derive, batch_format="pyarrow").materialize()
 
     # stage 2: threshold = quantile_disc(p) over the bounded histogram
-    thr = _hist_quantile(_quality_hist(proj), p)
+    thr = _hist_quantile(_quality_hist(proj), QUALITY_P)
 
     gated = proj.map_batches(
         lambda b: b.filter(pc.greater_equal(b["qk"], thr))
@@ -662,7 +649,7 @@ def curate_docs(docs_ds, p: float = QUALITY_P, scale: int = QUALITY_SCALE,
 
     # stage 4: rebalance_mix iterates its input twice (counts, filter) —
     # the materialized survivor set re-reads from the object store
-    return rebalance_mix(deduped, targets=targets, cols=("doc_id", "lang"))
+    return rebalance_mix(deduped, cols=("doc_id", "lang"))
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +660,7 @@ TOKEN_BUDGET_DEN = 4   # select top-quality docs until 1/4 of corpus tokens
 TB_BUCKETS = 4096      # segments of the boundary-cell prefix scan
 
 
-def mixture_sample(docs_ds, lang_col: str = "lang",
-                   key_col: str = "doc_id",
-                   cols: tuple[str, ...] = ("doc_id", "lang")):
+def mixture_sample(docs_ds):
     """Temperature-based mixture sampling with α = 1/2 (the multilingual
     rebalancing rule of XLM / mT5: sample stratum s with probability
     ∝ p_s^α, flattening the head languages). With α = 1/2 the
@@ -695,52 +680,50 @@ def mixture_sample(docs_ds, lang_col: str = "lang",
     stratum domain is tiny); pass 2 is map-only."""
 
     def cnt(b: pa.Table) -> pa.Table:
-        t = pa.table({"lang": b[lang_col],
+        t = pa.table({"lang": b["lang"],
                       "n": pa.array(np.ones(b.num_rows, np.int64))})
         return t.group_by("lang").aggregate([("n", "sum")])
 
     acc: dict[str, int] = {}
-    for b in (docs_ds.select_columns([lang_col])
+    for b in (docs_ds.select_columns(["lang"])
               .map_batches(cnt, batch_format="pyarrow")
               .iter_batches(batch_format="pyarrow")):
         for r in b.to_pylist():
             acc[r["lang"]] = acc.get(r["lang"], 0) + r["n_sum"]
     if not acc:
-        return docs_ds.limit(0).select_columns(list(cols))
+        return docs_ds.limit(0).select_columns(["doc_id", "lang"])
     rhs = min(acc.values()) << 64
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_pylist()
-        langs = batch[lang_col].to_pylist()
+        keys = batch["doc_id"].to_pylist()
+        langs = batch["lang"].to_pylist()
         keep = np.fromiter(
             (int(hashlib.md5(str(k).encode()).hexdigest()[:8], 16) ** 2
              * acc[lang] < rhs
              for k, lang in zip(keys, langs)),
             dtype=bool, count=len(keys))
-        return batch.select(list(cols)).filter(pa.array(keep))
+        return batch.select(["doc_id", "lang"]).filter(pa.array(keep))
 
     return docs_ds.map_batches(fn, batch_format="pyarrow")
 
 
-def token_budget_select(docs_ds, scale: int = QUALITY_SCALE,
-                        den: int = TOKEN_BUDGET_DEN,
-                        n_buckets: int = TB_BUCKETS):
+def token_budget_select(docs_ds):
     """Quality-ranked token-budget selection: keep the best documents
     (by quality score, ties to smaller doc_id) until the running token
-    total reaches ``1/den`` of the corpus — the "pick the top-B tokens"
-    curation step of data-constrained training runs. A doc is kept iff
-    the token total BEFORE it (in global (quality DESC, doc_id) order)
-    is < budget, i.e. SUM(n_words) OVER (ORDER BY qk DESC, doc_id) −
-    n_words < budget in the DuckDB mirror.
+    total reaches ``1/TOKEN_BUDGET_DEN`` of the corpus — the "pick the
+    top-B tokens" curation step of data-constrained training runs. A doc
+    is kept iff the token total BEFORE it (in global (quality DESC,
+    doc_id) order) is < budget, i.e. SUM(n_words) OVER (ORDER BY qk
+    DESC, doc_id) − n_words < budget in the DuckDB mirror.
 
     No global sort: (1) one text scan derives the narrow materialized
-    (doc_id, qk, n_words) projection (qk = floor(quality·scale), the
-    shared integer cell); (2) a BOUNDED per-cell histogram of token
-    sums (≤ scale cells, partials combine map-side) lets the driver
-    find the threshold cell T and the residual budget inside it;
+    (doc_id, qk, n_words) projection (qk = floor(quality·QUALITY_SCALE),
+    the shared integer cell); (2) a BOUNDED per-cell histogram of token
+    sums (≤ QUALITY_SCALE cells, partials combine map-side) lets the
+    driver find the threshold cell T and the residual budget inside it;
     (3) every doc in a cell ABOVE T is kept by a map-only filter; (4)
     only cell T runs the pack_sequences-style segmented prefix scan
-    (contiguous doc_id ranges, ≤ n_buckets driver scalars) to cut at
+    (contiguous doc_id ranges, ≤ TB_BUCKETS driver scalars) to cut at
     the residual — the boundary cell is the only place doc order
     matters, so it is the only place any ordering work happens."""
     import ray
@@ -750,7 +733,7 @@ def token_budget_select(docs_ds, scale: int = QUALITY_SCALE,
 
     def derive(b: pa.Table) -> pa.Table:
         s = text_stats_batch(b)
-        qk = pc.cast(pc.floor(pc.multiply(s["quality"], scale)),
+        qk = pc.cast(pc.floor(pc.multiply(s["quality"], QUALITY_SCALE)),
                      pa.int64())
         return pa.table({"doc_id": pc.cast(s["doc_id"], pa.int64()),
                          "qk": qk,
@@ -768,7 +751,7 @@ def token_budget_select(docs_ds, scale: int = QUALITY_SCALE,
                    .iter_batches(batch_format="pyarrow"):
         for r in b.to_pylist():
             toks[r["qk"]] = toks.get(r["qk"], 0) + r["n_sum"]
-    budget = sum(toks.values()) // den
+    budget = sum(toks.values()) // TOKEN_BUDGET_DEN
     cum = 0
     thr = None
     for qk in sorted(toks, reverse=True):
@@ -776,7 +759,7 @@ def token_budget_select(docs_ds, scale: int = QUALITY_SCALE,
             thr = qk
             break
         cum += toks[qk]
-    if thr is None:      # den <= 1: the budget is the whole corpus
+    if thr is None:      # the budget is the whole corpus
         return scores
     rem = budget - cum   # token budget left inside the threshold cell
     thr_v, rem_v = int(thr), int(rem)
@@ -787,9 +770,9 @@ def token_budget_select(docs_ds, scale: int = QUALITY_SCALE,
     kept_above = scores.map_batches(above, batch_format="pyarrow")
 
     # boundary cell: contiguous doc_id-range segments, driver prefix
-    # over <= n_buckets scalars, in-segment vectorized exclusive cumsum
+    # over <= TB_BUCKETS scalars, in-segment vectorized exclusive cumsum
     max_key = int(scores.max("doc_id"))
-    span = max(1, (max_key + n_buckets) // n_buckets)
+    span = max(1, (max_key + TB_BUCKETS) // TB_BUCKETS)
 
     def in_cell(b: pa.Table) -> pa.Table:
         t = b.filter(pc.equal(b["qk"], thr_v))
@@ -834,8 +817,7 @@ EPOCHS = 2
 SHUFFLE_SHARDS = 8
 
 
-def epoch_shuffle(docs_ds, n_epochs: int = EPOCHS,
-                  n_shards: int = SHUFFLE_SHARDS):
+def epoch_shuffle(docs_ds):
     """Deterministic per-epoch training-order shuffle WITHOUT a global
     sort exchange — the "different random order every epoch,
     reproducible across reruns" step of a training-data loader.
@@ -851,7 +833,7 @@ def epoch_shuffle(docs_ds, n_epochs: int = EPOCHS,
     md5-uniform by construction).
 
     Output: (epoch, doc_id, pos, shard) with pos the 1-based rank in
-    the epoch's order and shard = (pos-1) % n_shards (round-robin
+    the epoch's order and shard = (pos-1) % SHUFFLE_SHARDS (round-robin
     shard assignment at equal sizes)."""
     import hashlib
 
@@ -863,7 +845,7 @@ def epoch_shuffle(docs_ds, n_epochs: int = EPOCHS,
         ids = b["doc_id"].to_pylist()
         o_e, o_d, o_h, o_c = [], [], [], []
         for did in ids:
-            for ep in range(1, n_epochs + 1):
+            for ep in range(1, EPOCHS + 1):
                 h = hashlib.md5(f"{ep}:{did}".encode()).hexdigest()
                 o_e.append(ep)
                 o_d.append(did)
@@ -890,7 +872,7 @@ def epoch_shuffle(docs_ds, n_epochs: int = EPOCHS,
         for k, n in zip(b["k"].to_pylist(), b["n"].to_pylist()):
             acc[k] = acc.get(k, 0) + n
     offsets: dict[int, int] = {}
-    for ep in range(1, n_epochs + 1):
+    for ep in range(1, EPOCHS + 1):
         cum = 0
         for cell in range(256):
             k = (ep << 9) | cell
@@ -919,7 +901,7 @@ def epoch_shuffle(docs_ds, n_epochs: int = EPOCHS,
             "epoch": pa.array(ep[order], pa.int64()),
             "doc_id": pa.array(did[order], pa.int64()),
             "pos": pa.array(pos, pa.int64()),
-            "shard": pa.array((pos - 1) % n_shards, pa.int64())})
+            "shard": pa.array((pos - 1) % SHUFFLE_SHARDS, pa.int64())})
 
     return grouped_by_bucket(rows, number, key=["epoch", "cell"])
 
@@ -928,8 +910,7 @@ WINSOR_LO = 0.1
 WINSOR_HI = 0.9
 
 
-def winsorize_lengths(docs_ds, lo: float = WINSOR_LO,
-                      hi: float = WINSOR_HI):
+def winsorize_lengths(docs_ds):
     """Per-lang winsorization of document length — percentile-based
     outlier clipping before length-sensitive mixing: n_chars is
     clipped into [p10, p90] of its language group. The group
@@ -954,7 +935,8 @@ def winsorize_lengths(docs_ds, lo: float = WINSOR_LO,
         for r in b.to_pylist():
             d = acc.setdefault(r["lang"], {})
             d[r["v"]] = d.get(r["v"], 0) + r["n_sum"]
-    bounds = {lang: (_hist_quantile(d, lo), _hist_quantile(d, hi))
+    bounds = {lang: (_hist_quantile(d, WINSOR_LO),
+                     _hist_quantile(d, WINSOR_HI))
               for lang, d in acc.items()}
     broadcast = ray.put(bounds)
 
@@ -982,9 +964,9 @@ def winsorize_lengths(docs_ds, lo: float = WINSOR_LO,
         .map_batches(clip, batch_format="pyarrow")
 
 
-def mad_outliers(docs_ds, k: int = 2):
+def mad_outliers(docs_ds):
     """Robust outlier detection: flag documents whose length deviates
-    from the language median by more than ``k`` (default 2) MADs (median absolute
+    from the language median by more than 2 MADs (median absolute
     deviation) — the classic heavy-tail-safe filter a length-based
     quality gate wants instead of mean/stddev.
 
@@ -1034,7 +1016,7 @@ def mad_outliers(docs_ds, k: int = 2):
         for j, lang in enumerate(d.dictionary.to_pylist()):
             meds[j], mads[j] = prm[lang]
         dev = np.abs(x - meds[idx])
-        m = dev > k * mads[idx]
+        m = dev > 2 * mads[idx]
         t = pa.table({
             "doc_id": pc.cast(b["doc_id"], pa.int64()),
             "lang": b["lang"],

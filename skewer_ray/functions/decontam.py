@@ -155,7 +155,7 @@ def _bloom_positions(s: str) -> list[int]:
     return [int(h[8 * i:8 * i + 8], 16) % BLOOM_M for i in range(BLOOM_K)]
 
 
-def bloom_decontaminate(docs_ds, mod: int = BENCH_MOD):
+def bloom_decontaminate(docs_ds):
     """Space-bounded decontamination: the benchmark shingle set is
     folded into a BLOOM_M-bit Bloom filter (vs the exact broadcast set
     of ``decontaminate``), and every corpus doc reports how many of its
@@ -174,7 +174,7 @@ def bloom_decontaminate(docs_ds, mod: int = BENCH_MOD):
         pos: set[int] = set()
         for d, t in zip(batch["doc_id"].to_pylist(),
                         batch["text"].to_pylist()):
-            if d % mod == 0:
+            if d % BENCH_MOD == 0:
                 for s in shingles_of(t):
                     pos.update(_bloom_positions(s))
         return pa.table({"p": pa.array(sorted(pos), pa.int32())})
@@ -189,7 +189,7 @@ def bloom_decontaminate(docs_ds, mod: int = BENCH_MOD):
         ids, n_sh, n_hit = [], [], []
         for d, t in zip(batch["doc_id"].to_pylist(),
                         batch["text"].to_pylist()):
-            if d % mod == 0:
+            if d % BENCH_MOD == 0:
                 continue
             sh = shingles_of(t)
             if not sh:

@@ -8,8 +8,8 @@ Scale shapes (what survives 100 TB):
   keyed by (band, band_key); pairs are emitted inside buckets with
   FIRST-colliding-band ownership (each row carries the digests of its
   earlier bands), so no cross-band pair-dedup barrier exists. Per-task
-  memory is O(rows / n_buckets) — size ``n_buckets`` with the corpus
-  (see minhash_lsh_pairs). No all-pairs anywhere.
+  memory is O(rows / N_BUCKETS) (see minhash_lsh_pairs). No all-pairs
+  anywhere.
 - SimHash pairs: EXACT banded shuffle — pigeonhole over max_hamming+1
   signature bit-bands, same single-exchange first-band-ownership shape
   (the full signature each row already ships decides ownership, so the
@@ -48,11 +48,12 @@ _SHINGLE_LRU: OrderedDict = OrderedDict()
 SHINGLE_K = 3
 
 
-def shingles_of(text: str, k: int = SHINGLE_K) -> set[str]:
+def shingles_of(text: str) -> set[str]:
     words = norm_words(text)
-    if len(words) < k:
+    if len(words) < SHINGLE_K:
         return {" ".join(words)} if words else set()
-    return {" ".join(words[i:i + k]) for i in range(len(words) - k + 1)}
+    return {" ".join(words[i:i + SHINGLE_K])
+            for i in range(len(words) - SHINGLE_K + 1)}
 
 
 def minhash_sigs(shingles: set[str]) -> list[str]:
@@ -218,15 +219,14 @@ def _doc_shingle_rows(batch: pa.Table) -> pa.Table:
     })
 
 
-def minhash_lsh_pairs(docs_ds, threshold: float = 0.5,
-                      n_buckets: int | None = None):
+def minhash_lsh_pairs(docs_ds, threshold: float = 0.5):
     """MinHash+LSH near-duplicate pairs with in-bucket Jaccard
     verification: (doc_a, doc_b, jaccard) for candidates sharing any
     band whose true shingle Jaccard ≥ threshold.
 
     ONE exchange end to end: rows keyed by (band, band_key) go through
     ``grouped_by_bucket`` (crc32-bucketed co-grouping — one UDF call
-    per 1/n_buckets of the keyspace instead of one per LSH bucket, and
+    per 1/N_BUCKETS of the keyspace instead of one per LSH bucket, and
     no per-group Python dispatch). Inside a bucket, runs of equal
     (band, band_key) are found vectorized; ~all runs are singletons and
     are skipped without materializing their shingle payloads. A pair is
@@ -234,12 +234,11 @@ def minhash_lsh_pairs(docs_ds, threshold: float = 0.5,
     its earlier bands' digests), so no downstream pair-dedup groupby is
     needed — r03's version spent a second sort barrier on that.
 
-    Per-UDF-call memory is O(N_BANDS·N_docs·row_bytes / n_buckets), so
-    at large corpus size pass ``n_buckets`` ≈ N_BANDS·N_docs·row_bytes
-    / target_partition_bytes (row_bytes is dominated by the 8-byte
-    shingle hashes, ~8·shingles_per_doc); the default suits corpora up
-    to ~10⁷ docs at the 512-bucket default of grouped_by_bucket."""
-    from ..stages.buckets import N_BUCKETS, grouped_by_bucket, run_starts
+    Per-UDF-call memory is O(N_BANDS·N_docs·row_bytes / N_BUCKETS)
+    (row_bytes is dominated by the 8-byte shingle hashes,
+    ~8·shingles_per_doc), which suits corpora up to ~10⁷ docs at the
+    512 buckets of grouped_by_bucket."""
+    from ..stages.buckets import grouped_by_bucket, run_starts
 
     rows = docs_ds.map_batches(_doc_shingle_rows, batch_format="pyarrow")
 
@@ -307,8 +306,7 @@ def minhash_lsh_pairs(docs_ds, threshold: float = 0.5,
                          "doc_b": pa.array(b_out, pa.int64()),
                          "jaccard": pa.array(j_out, pa.float64())})
 
-    return grouped_by_bucket(rows, bucket_pairs, key=["band", "band_key"],
-                             n_buckets=n_buckets or N_BUCKETS)
+    return grouped_by_bucket(rows, bucket_pairs, key=["band", "band_key"])
 
 
 N_TRI_CHUNKS = 8
@@ -347,8 +345,7 @@ def _triangle_sides(batch: pa.Table, n_chunks: int):
     return np.nonzero(ch == i)[0], np.nonzero(ch == j)[0]
 
 
-def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5,
-                        n_chunks: int = N_TRI_CHUNKS):
+def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5):
     """Exact n-gram Jaccard near-dup pairs via triangle-partitioned
     all-pairs (see _triangle_expand): the O(N²) set-intersection work is
     inherent to the exact semantics, but it is spread over B(B+1)/2
@@ -360,7 +357,7 @@ def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5,
         ids = pc.cast(batch["doc_id"], pa.int64()).to_numpy(
             zero_copy_only=False)
         sh = [sorted(shingles_of(t)) for t in batch["text"].to_pylist()]
-        bucket, chunk, take = _triangle_expand(ids, n_chunks)
+        bucket, chunk, take = _triangle_expand(ids, N_TRI_CHUNKS)
         return pa.table({
             "bucket": pa.array(bucket, pa.int32()),
             "chunk": pa.array(chunk, pa.int32()),
@@ -370,7 +367,7 @@ def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5,
         })
 
     def bucket_pairs(batch: pa.Table) -> pa.Table:
-        left, right = _triangle_sides(batch, n_chunks)
+        left, right = _triangle_sides(batch, N_TRI_CHUNKS)
         ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
         shs = batch["shingles"].to_pylist()
         sets = [frozenset(s) for s in shs]
@@ -518,8 +515,7 @@ def simhash_pairs(docs_ds, max_hamming: int = 3):
     return grouped_by_bucket(rows, bucket_pairs, key=["band", "band_val"])
 
 
-def embedding_dup_pairs(emb_ds, threshold: float = 0.45,
-                        n_chunks: int = N_TRI_CHUNKS):
+def embedding_dup_pairs(emb_ds, threshold: float = 0.45):
     """Exact embedding-cosine near-dup pairs (vec_a < vec_b, cosine ≥
     threshold) via triangle-partitioned block matmul (_triangle_expand):
     each bucket holds two id-chunks and does one float64 matmul between
@@ -531,7 +527,7 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.45,
     def expand(batch: pa.Table) -> pa.Table:
         ids = pc.cast(batch["vec_id"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        bucket, chunk, take = _triangle_expand(ids, n_chunks)
+        bucket, chunk, take = _triangle_expand(ids, N_TRI_CHUNKS)
         take_arr = pa.array(take, pa.int64())
         return pa.table({
             "bucket": pa.array(bucket, pa.int32()),
@@ -541,7 +537,7 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.45,
         })
 
     def bucket_pairs(batch: pa.Table) -> pa.Table:
-        left, right = _triangle_sides(batch, n_chunks)
+        left, right = _triangle_sides(batch, N_TRI_CHUNKS)
         ids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
         mat = np.array(batch["embedding"].to_pylist(), dtype=np.float64)
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
@@ -573,14 +569,13 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.45,
                                              batch_format="pyarrow")
 
 
-def embedding_lsh_pairs(emb_ds, threshold: float = 0.45,
-                        n_planes: int | None = None):
+def embedding_lsh_pairs(emb_ds, threshold: float = 0.45):
     """Subquadratic embedding near-dup pairs: random-hyperplane LSH
     buckets as the shuffle key (the scale path next to the exact
     triangle join above).
 
     Each vector lands in exactly ONE bucket (the sign pattern of its
-    dots with ``n_planes`` fixed Gaussian hyperplanes — deterministic in
+    dots with ``LSH_PLANES`` fixed Gaussian hyperplanes — deterministic in
     LSH_SEED, so the DuckDB oracle replicates the buckets with a literal
     plane matrix). Pairs are scored only within a bucket: candidate work
     is sum over buckets of |bucket|² ≈ N²/2^planes, shuffle volume is
@@ -590,9 +585,8 @@ def embedding_lsh_pairs(emb_ds, threshold: float = 0.45,
     triangle output."""
     from .similarity import LSH_PLANES, LSH_SEED, _bucket_of
 
-    if n_planes is None:
-        n_planes = LSH_PLANES
-    planes = np.random.default_rng(LSH_SEED).standard_normal((n_planes, 64))
+    planes = np.random.default_rng(LSH_SEED).standard_normal(
+        (LSH_PLANES, 64))
 
     def bucketize(batch: pa.Table) -> pa.Table:
         mat = np.array(batch["embedding"].to_pylist(), dtype=np.float64)
@@ -678,11 +672,10 @@ def semdedup(emb_ds, threshold: float = 0.45):
 
 
 CC_SMALL_GRAPH_MAX = 100_000  # edges; below → driver union-find
+CC_MAX_ITERS = 64             # label-propagation rounds before giving up
 
 
-def connected_components(pairs_ds, a_col: str = "doc_a",
-                         b_col: str = "doc_b", max_iters: int = 64,
-                         small_graph_max: int = CC_SMALL_GRAPH_MAX):
+def connected_components(pairs_ds, small_graph_max: int = CC_SMALL_GRAPH_MAX):
     """Distributed connected components over a pair (edge) table.
 
     Returns a Dataset ``(doc_id, cluster_rep)`` covering every node that
@@ -709,15 +702,15 @@ def connected_components(pairs_ds, a_col: str = "doc_a",
                       "cluster_rep": pa.array([], pa.int64())})
 
     def symmetrize(b: pa.Table) -> pa.Table:
-        a = pc.cast(b[a_col], pa.int64())
-        bb = pc.cast(b[b_col], pa.int64())
+        a = pc.cast(b["doc_a"], pa.int64())
+        bb = pc.cast(b["doc_b"], pa.int64())
         return pa.table({
             "src": pa.concat_arrays([a.combine_chunks(),
                                      bb.combine_chunks()]),
             "dst": pa.concat_arrays([bb.combine_chunks(),
                                      a.combine_chunks()])})
 
-    edges = (pairs_ds.select_columns([a_col, b_col])
+    edges = (pairs_ds.select_columns(["doc_a", "doc_b"])
              .map_batches(symmetrize, batch_format="pyarrow")
              .materialize())                      # O(edges), reused per round
     n_edges = edges.count()
@@ -770,7 +763,7 @@ def connected_components(pairs_ds, a_col: str = "doc_a",
         return pa.table({"node": b["node"], "label": b["min(label)"]})
 
     converged = False
-    for _ in range(max_iters):
+    for _ in range(CC_MAX_ITERS):
         cur = labels.sum("label")
         if cur == prev_sum:
             converged = True
@@ -787,8 +780,8 @@ def connected_components(pairs_ds, a_col: str = "doc_a",
         # fail LOUDLY: returning un-converged labels would silently
         # split components (wrong cluster_rep) downstream
         raise RuntimeError(
-            f"connected_components did not converge in {max_iters} "
-            "rounds — component diameter exceeds max_iters; raise it")
+            f"connected_components did not converge in {CC_MAX_ITERS} "
+            "rounds — component diameter exceeds CC_MAX_ITERS")
 
     def finalize(b: pa.Table) -> pa.Table:
         return pa.table({"doc_id": b["node"], "cluster_rep": b["label"]})
@@ -796,7 +789,10 @@ def connected_components(pairs_ds, a_col: str = "doc_a",
     return labels.map_batches(finalize, batch_format="pyarrow")
 
 
-def prefix_filter_pairs(docs_ds, threshold: float = 0.5):
+PREFIX_TAU = 0.5   # Jaccard threshold τ of prefix_filter_pairs
+
+
+def prefix_filter_pairs(docs_ds):
     """Exact Jaccard near-dup pairs via PPJoin/AllPairs-style PREFIX
     FILTERING — the sub-quadratic EXACT path (the triangle path pays
     O(N²) verification; MinHash-LSH is sub-quadratic but approximate).
@@ -866,7 +862,7 @@ def prefix_filter_pairs(docs_ds, threshold: float = 0.5):
             if not sh:
                 continue
             sh = sorted(sh, key=lambda s: (order[s], s))
-            p = len(sh) - math.ceil(threshold * len(sh)) + 1
+            p = len(sh) - math.ceil(PREFIX_TAU * len(sh)) + 1
             for tok in sh[:p]:
                 tok_out.append(tok)
                 id_out.append(int(ids[i]))
@@ -902,7 +898,7 @@ def prefix_filter_pairs(docs_ds, threshold: float = 0.5):
                     if not inter:
                         continue
                     jac = inter / (len(sx) + len(sy) - inter)
-                    if jac >= threshold:
+                    if jac >= PREFIX_TAU:
                         a, b = sorted((ids[x], ids[y]))
                         a_out.append(a)
                         b_out.append(b)
@@ -996,8 +992,7 @@ def _doc_band_text_rows(batch: pa.Table) -> pa.Table:
     })
 
 
-def edit_distance_pairs(docs_ds, frac: float = EDIT_FRAC,
-                        n_buckets: int | None = None):
+def edit_distance_pairs(docs_ds):
     """Edit-distance near-duplicate pairs — the dedup modality for
     SMALL local corruptions (typos, OCR noise, single-token swaps)
     that set-based Jaccard treats the same as big rewrites: candidates
@@ -1005,14 +1000,14 @@ def edit_distance_pairs(docs_ds, frac: float = EDIT_FRAC,
     minhash_lsh_pairs, so the candidate set is sub-quadratic and the
     blocking rule is part of the operator's DEFINITION), verified by
     exact levenshtein over the whitespace-normalized text; a pair
-    qualifies when dist <= floor(frac * max(len_a, len_b)). Emitted
+    qualifies when dist <= floor(EDIT_FRAC * max(len_a, len_b)). Emitted
     exactly once from its first colliding band. Output
     (doc_a, doc_b, edit_dist). Exact SQL mirror: "dedup_edit"
     (DuckDB ``levenshtein`` — the engine kernel is fuzz-matched to
     it). Scale shape: ONE (band, band_key)-bucket exchange; the
-    payload is the normalized text (~doc-size × N_BANDS), so pass
-    n_buckets up per minhash_lsh_pairs' sizing note at large SF."""
-    from ..stages.buckets import N_BUCKETS, grouped_by_bucket, run_starts
+    payload is the normalized text (~doc-size × N_BANDS), sized as in
+    minhash_lsh_pairs' note."""
+    from ..stages.buckets import grouped_by_bucket, run_starts
 
     rows = docs_ds.map_batches(_doc_band_text_rows,
                                batch_format="pyarrow")
@@ -1062,7 +1057,7 @@ def edit_distance_pairs(docs_ds, frac: float = EDIT_FRAC,
                     if any(a == c for a, c in zip(dx, digs[y - lo])):
                         continue
                     ty = norms[y]
-                    dmax = int(frac * max(len(tx), len(ty)))
+                    dmax = int(EDIT_FRAC * max(len(tx), len(ty)))
                     dist = _levenshtein(tx, ty)
                     if dist <= dmax:
                         a_out.append(int(ids[x]))
@@ -1073,8 +1068,7 @@ def edit_distance_pairs(docs_ds, frac: float = EDIT_FRAC,
                          "edit_dist": pa.array(d_out, pa.int64())})
 
     return grouped_by_bucket(rows, bucket_pairs,
-                             key=["band", "band_key"],
-                             n_buckets=n_buckets or N_BUCKETS)
+                             key=["band", "band_key"])
 
 
 def dup_rate_by_source(docs_ds):

@@ -64,10 +64,10 @@ def expand_grok(expr: str, named: bool = True) -> tuple[str, list[str]]:
     return _REF.sub(sub, expr), fields
 
 
-def grok_extract(ds, expr: str, column: str = "text",
-                 keep: list[str] | None = None, drop_unmatched: bool = True,
+def grok_extract(ds, expr: str, keep: list[str] | None = None,
+                 drop_unmatched: bool = True,
                  types: dict[str, str] | None = None):
-    """Apply a grok expression to ``column``: one new column per named
+    """Apply a grok expression to the ``text`` column: one new column per named
     field. ``keep`` = passthrough columns; ``types`` maps field → Arrow
     type name ("int64"/"float64") for post-extract casts. Unmatched rows
     are dropped (or kept with nulls + ``grok_match=False``).
@@ -81,7 +81,7 @@ def grok_extract(ds, expr: str, column: str = "text",
     types = types or {}
 
     def fn(batch: pa.Table) -> pa.Table:
-        ext = pc.extract_regex(batch[column], pattern=regex)
+        ext = pc.extract_regex(batch["text"], pattern=regex)
         valid = pc.is_valid(ext)
         cols = {c: batch[c] for c in keep}
         for i, f in enumerate(fields):

@@ -87,18 +87,18 @@ def _dist2(q: np.ndarray, cents: np.ndarray) -> np.ndarray:
     return qq - 2 * (q @ cents.T) + cc
 
 
-def kmeans_assign(emb_ds, k: int = KMEANS_K, col: str = "embedding"):
+def kmeans_assign(emb_ds):
     """Two-iteration Lloyd assignment: (vec_id, cluster, dist2) rows
     where ``cluster`` is the seed vec_id of the owning centroid after
     ONE centroid update, ``dist2`` the exact int64 squared distance in
     micro-units. See module docstring for the exactness contract."""
-    seed_ids, seed_mat = _seed_rows(emb_ds, k, col)
+    seed_ids, seed_mat = _seed_rows(emb_ds, KMEANS_K, "embedding")
     cents0 = _quantize(seed_mat)          # (k, dim), rows by cid asc
     bc0 = ray.put((seed_ids, cents0))
 
     def partial_sums(b: pa.Table) -> pa.Table:
         cids, cents = ray.get(bc0)
-        q = _quantize(_batch_matrix(b, col))
+        q = _quantize(_batch_matrix(b, "embedding"))
         if q.size == 0:
             return pa.table({"cid": pa.array([], pa.int64()),
                              "d": pa.array([], pa.int64()),
@@ -139,7 +139,7 @@ def kmeans_assign(emb_ds, k: int = KMEANS_K, col: str = "embedding"):
 
     def final_assign(b: pa.Table) -> pa.Table:
         cids, cents = ray.get(bc1)
-        q = _quantize(_batch_matrix(b, col))
+        q = _quantize(_batch_matrix(b, "embedding"))
         if q.size == 0:
             return pa.table({"vec_id": pa.array([], pa.int64()),
                              "cluster": pa.array([], pa.int64()),

@@ -130,11 +130,11 @@ class MediaDecodeStage:
         return pa.table(cols)
 
 
-def media_features(docs_ds, concurrency=2):
+def media_features(docs_ds):
     """documents → synth multimodal table → actor-pool decode stage."""
     media = docs_ds.map_batches(synth_media_batch, batch_format="pyarrow")
     return media.map_batches(MediaDecodeStage,
-                             concurrency=concurrency,
+                             concurrency=2,
                              batch_size=MEDIA_BATCH_SIZE,
                              batch_format="pyarrow")
 
@@ -183,7 +183,7 @@ class FrameSampleStage:
         })
 
 
-def frame_samples(docs_ds, concurrency=2):
+def frame_samples(docs_ds):
     """documents → video-only synth multimodal table → 1→N frame rows.
 
     Non-video docs are dropped BEFORE the synth stage (doc_id % 3 rule)
@@ -199,6 +199,6 @@ def frame_samples(docs_ds, concurrency=2):
     media = docs_ds.map_batches(only_video_docs, batch_format="pyarrow") \
                    .map_batches(synth_media_batch, batch_format="pyarrow")
     return media.map_batches(FrameSampleStage,
-                             concurrency=concurrency,
+                             concurrency=2,
                              batch_size=MEDIA_BATCH_SIZE,
                              batch_format="pyarrow")

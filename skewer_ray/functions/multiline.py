@@ -29,9 +29,7 @@ import pyarrow.compute as pc
 START_RE = r"^<[0-9]"
 
 
-def merge_multiline(ds, stream_col: str = "conv_id",
-                    order_col: str = "turn_idx",
-                    text_col: str = "text"):
+def merge_multiline(ds):
     """(stream, rec_idx, n_lines, record): one row per reassembled
     record, continuation lines joined with newlines in stream order."""
 
@@ -41,12 +39,12 @@ def merge_multiline(ds, stream_col: str = "conv_id",
     def assemble(batch: pa.Table) -> pa.Table:
         # many streams per call (hash-bucket co-location): one lexsort,
         # islands via a within-stream segmented cumsum of start flags
-        conv = np.asarray(batch[stream_col].to_pylist(), dtype=object)
-        order_v = batch[order_col].to_numpy(zero_copy_only=False)
+        conv = np.asarray(batch["conv_id"].to_pylist(), dtype=object)
+        order_v = batch["turn_idx"].to_numpy(zero_copy_only=False)
         idx = np.lexsort((order_v, conv))
         conv_s = conv[idx]
         take = pa.array(idx, pa.int64())
-        texts_s = pc.take(batch[text_col], take)
+        texts_s = pc.take(batch["text"], take)
         flags = pc.match_substring_regex(texts_s, START_RE) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         sstarts = run_starts(conv_s)
@@ -56,7 +54,7 @@ def merge_multiline(ds, stream_col: str = "conv_id",
         re_ = np.append(rs[1:], len(conv_s))
         texts = texts_s.to_pylist()
         return pa.table({
-            stream_col: pa.array([conv_s[s] for s in rs], pa.string()),
+            "conv_id": pa.array([conv_s[s] for s in rs], pa.string()),
             "rec_idx": pa.array(island[rs], pa.int64()),
             "n_lines": pa.array(re_ - rs, pa.int64()),
             "record": pa.array(
@@ -64,7 +62,7 @@ def merge_multiline(ds, stream_col: str = "conv_id",
                 pa.string()),
         })
 
-    return grouped_by_bucket(ds, assemble, key=stream_col)
+    return grouped_by_bucket(ds, assemble, key="conv_id")
 
 
 def multiline_oracle_sql(tpath: str) -> str:
@@ -87,8 +85,7 @@ SELECT conv_id, CAST(island AS BIGINT) AS rec_idx,
 FROM i GROUP BY conv_id, island"""
 
 
-def repeat_reduce(ds, stream_col: str = "conv_id",
-                  order_col: str = "turn_idx", text_col: str = "text"):
+def repeat_reduce(ds):
     """Repeated-message reduction — syslogd's "last message repeated N
     times" suppression, the dedup every log pipeline applies BEFORE
     storage (the reference inherits it from the syslog ecosystem its
@@ -104,12 +101,12 @@ def repeat_reduce(ds, stream_col: str = "conv_id",
     from ..stages.buckets import grouped_by_bucket, run_starts
 
     def collapse(batch: pa.Table) -> pa.Table:
-        conv = np.asarray(batch[stream_col].to_pylist(), dtype=object)
-        order_v = batch[order_col].to_numpy(zero_copy_only=False)
+        conv = np.asarray(batch["conv_id"].to_pylist(), dtype=object)
+        order_v = batch["turn_idx"].to_numpy(zero_copy_only=False)
         idx = np.lexsort((order_v, conv))
         conv_s = conv[idx]
         take = pa.array(idx, pa.int64())
-        texts_s = pc.take(batch[text_col], take)
+        texts_s = pc.take(batch["text"], take)
         order_s = order_v[idx]
         d = pc.dictionary_encode(texts_s)
         if isinstance(d, pa.ChunkedArray):
@@ -122,11 +119,11 @@ def repeat_reduce(ds, stream_col: str = "conv_id",
         rs = np.flatnonzero(brk)
         re_ = np.append(rs[1:], len(conv_s))
         return pa.table({
-            stream_col: pa.array([conv_s[s] for s in rs], pa.string()),
+            "conv_id": pa.array([conv_s[s] for s in rs], pa.string()),
             "first_idx": pa.array(order_s[rs].astype(np.int64),
                                   pa.int64()),
             "n_repeats": pa.array(re_ - rs, pa.int64()),
-            text_col: pc.take(texts_s, pa.array(rs, pa.int64())),
+            "text": pc.take(texts_s, pa.array(rs, pa.int64())),
         })
 
-    return grouped_by_bucket(ds, collapse, key=stream_col)
+    return grouped_by_bucket(ds, collapse, key="conv_id")

@@ -38,7 +38,7 @@ from .dedup import _shingle_hash64, shingles_of
 OVERLAP_BUCKETS = 64
 
 
-def source_overlap(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
+def source_overlap(docs_ds):
     """Dataset of (source_a, source_b, n_a, n_b, n_common, jaccard)
     rows, source_a < source_b lexicographically, jaccard rounded to
     6 dp with the identical expression tree as the SQL mirror."""
@@ -94,7 +94,7 @@ def source_overlap(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
 
     parts = grouped_by_bucket(docs_ds.map_batches(
         explode, batch_format="pyarrow"), bucket_partials,
-        key="h", n_buckets=n_buckets)
+        key="h", n_buckets=OVERLAP_BUCKETS)
 
     pairs: dict[tuple[str, str], int] = {}
     sizes: dict[str, int] = {}
@@ -122,7 +122,7 @@ def source_overlap(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
     return rd.from_arrow(out)
 
 
-def ngram_diversity(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
+def ngram_diversity(docs_ds):
     """Per-source shingle type-token ratio — the lexical-diversity /
     template-detection diagnostic (a low ratio means the source keeps
     re-emitting the same n-grams).
@@ -188,7 +188,7 @@ def ngram_diversity(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
 
     parts = grouped_by_bucket(
         docs_ds.map_batches(explode, batch_format="pyarrow"),
-        bucket_counts, key="h", n_buckets=n_buckets)
+        bucket_counts, key="h", n_buckets=OVERLAP_BUCKETS)
 
     types: dict[str, int] = {}
     posts: dict[str, int] = {}
@@ -213,7 +213,7 @@ def ngram_diversity(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
     return rd.from_arrow(out)
 
 
-def shingle_novelty(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
+def shingle_novelty(docs_ds):
     """Vocabulary-growth curve (Heaps-law diagnostic): for every doc,
     how many of its distinct shingles appear in NO earlier doc
     (earlier = lower doc_id) — the marginal-novelty signal behind
@@ -260,7 +260,7 @@ def shingle_novelty(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
                          "n_new": pa.array(counts, pa.int64())})
 
     firsts = grouped_by_bucket(rows, bucket_firsts, key="h",
-                               n_buckets=n_buckets)
+                               n_buckets=OVERLAP_BUCKETS)
 
     def sizes(b: pa.Table) -> pa.Table:
         o_d, o_n = [], []
@@ -298,7 +298,7 @@ def shingle_novelty(docs_ds, n_buckets: int = OVERLAP_BUCKETS):
                          "n_new": pa.array(nw, pa.int64())})
 
     return grouped_by_bucket(both, fold, key="doc_id",
-                             n_buckets=n_buckets)
+                             n_buckets=OVERLAP_BUCKETS)
 
 
 def js_divergence(docs_ds):

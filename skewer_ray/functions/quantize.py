@@ -44,11 +44,11 @@ def _batch_matrix(b: pa.Table, col: str) -> np.ndarray:
                       dtype=np.float64).reshape(-1, dim)
 
 
-def dimension_max_abs(emb_ds, col: str = "embedding") -> np.ndarray:
+def dimension_max_abs(emb_ds) -> np.ndarray:
     """Exact per-dimension max(|v|) via bounded partial rows."""
 
     def partial(b: pa.Table) -> pa.Table:
-        m = _batch_matrix(b, col)
+        m = _batch_matrix(b, "embedding")
         amax = np.abs(m).max(axis=0) if m.size else np.empty(0)
         return pa.table({"d": pa.array(np.arange(amax.size), pa.int32()),
                          "amax": pa.array(amax, pa.float64())})
@@ -63,18 +63,18 @@ def dimension_max_abs(emb_ds, col: str = "embedding") -> np.ndarray:
     return np.array([acc[d] for d in sorted(acc)], dtype=np.float64)
 
 
-def quantize_embeddings(emb_ds, col: str = "embedding"):
+def quantize_embeddings(emb_ds):
     """Dataset of per-vector int8-code summaries.
 
     Output columns: vec_id, q_sum (Σ codes), q_l1 (Σ |codes|),
     q_checksum (Σ codes·(d+1)) — all exact int64, so the DuckDB oracle
     reproduces them bit-for-bit from the same floor-quantizer."""
-    amax = dimension_max_abs(emb_ds, col)
+    amax = dimension_max_abs(emb_ds)
     amax_ref = ray.put(amax)
 
     def quant(b: pa.Table) -> pa.Table:
         a = ray.get(amax_ref)
-        m = _batch_matrix(b, col)
+        m = _batch_matrix(b, "embedding")
         safe = np.where(a > 0.0, a, 1.0)
         q = np.floor((m * 127.0) / safe)
         q = np.clip(q, -127, 127).astype(np.int64)
@@ -176,8 +176,8 @@ def _jl_signs(dim: int, k: int) -> np.ndarray:
     return s
 
 
-def jl_project(emb_ds, k: int = JL_K, col: str = "embedding"):
-    """Johnson-Lindenstrauss dimensionality reduction to ``k`` signed
+def jl_project(emb_ds):
+    """Johnson-Lindenstrauss dimensionality reduction to ``JL_K`` signed
     components — the cheap embedding-compression step before sketching
     or LSH at scale. All arithmetic is EXACT: vectors quantize to
     integer micro-units q_d = floor(v_d · 10⁶) (identical IEEE floor
@@ -194,18 +194,18 @@ def jl_project(emb_ds, k: int = JL_K, col: str = "embedding"):
     cache: dict[tuple[int, int], np.ndarray] = {}
 
     def fn(b: pa.Table) -> pa.Table:
-        m = _batch_matrix(b, col)
+        m = _batch_matrix(b, "embedding")
         n, dim = m.shape
-        if (dim, k) not in cache:
-            cache[(dim, k)] = _jl_signs(dim, k)
-        s = cache[(dim, k)]
+        if (dim, JL_K) not in cache:
+            cache[(dim, JL_K)] = _jl_signs(dim, JL_K)
+        s = cache[(dim, JL_K)]
         q = np.floor(m * 1000000.0).astype(np.int64)
         y = q @ s                                   # (n, k) exact int64
         ids = np.repeat(
-            np.asarray(b["vec_id"].to_pylist(), np.int64), k)
+            np.asarray(b["vec_id"].to_pylist(), np.int64), JL_K)
         return pa.table({
             "vec_id": pa.array(ids, pa.int64()),
-            "j": pa.array(np.tile(np.arange(1, k + 1, dtype=np.int64),
+            "j": pa.array(np.tile(np.arange(1, JL_K + 1, dtype=np.int64),
                                   n), pa.int64()),
             "y": pa.array(y.reshape(-1), pa.int64())})
 

@@ -5,7 +5,7 @@
   ray.get per task), per-batch partial top-k, tiny final merge. The
   baseline and the oracle surface.
 - lsh_topk: random-hyperplane LSH variant — candidates restricted to
-  buckets within ``probe_bits`` sign flips of the query's bucket. The
+  buckets within one sign flip of the query's bucket. The
   scale path (bucket shuffle instead of all-candidates matmul);
   recall vs brute force is asserted in tests.
 """
@@ -287,10 +287,9 @@ def _bucket_of(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return (bits * (1 << np.arange(planes.shape[0]))).sum(axis=1)
 
 
-def lsh_topk(emb_ds, query_ids: list[int], k: int = DEFAULT_K,
-             n_planes: int = LSH_PLANES, probe_bits: int = 1):
+def lsh_topk(emb_ds, query_ids: list[int], k: int = DEFAULT_K):
     """Approximate top-k: random-hyperplane buckets; each candidate block
-    keeps only vectors whose bucket is within ``probe_bits`` bit flips of
+    keeps only vectors whose bucket is within one bit flip of
     a query bucket, then scores those exactly. Same output schema as
     brute_force_topk. At scale the bucket id becomes the shuffle/
     partition key; here the filter happens block-local, so no shuffle at
@@ -298,15 +297,14 @@ def lsh_topk(emb_ds, query_ids: list[int], k: int = DEFAULT_K,
     import ray
 
     rng = np.random.default_rng(LSH_SEED)
-    planes = rng.standard_normal((n_planes, 64))
+    planes = rng.standard_normal((LSH_PLANES, 64))
     qids, qmat = _query_matrix(emb_ds, query_ids)
     qbuckets = _bucket_of(qmat, planes)
     probe = set()
     for qb in qbuckets:
         probe.add(int(qb))
-        if probe_bits >= 1:
-            for b in range(n_planes):
-                probe.add(int(qb) ^ (1 << b))
+        for b in range(LSH_PLANES):
+            probe.add(int(qb) ^ (1 << b))
     broadcast = ray.put((qids, qmat, planes, probe))
     qid_set = set(int(q) for q in query_ids)
 
@@ -344,8 +342,8 @@ def lsh_topk(emb_ds, query_ids: list[int], k: int = DEFAULT_K,
 RANGE_TAU = 0.30
 
 
-def range_search(emb_ds, query_ids: list[int], tau: float = RANGE_TAU):
-    """All candidates within cosine ≥ tau of each query — the radius
+def range_search(emb_ds, query_ids: list[int]):
+    """All candidates within cosine ≥ RANGE_TAU of each query — the radius
     variant of the ANN surface. Unlike top-k there is NO merge step:
     membership is a pure per-row predicate against the broadcast query
     matrix, so the whole operator is one embarrassingly-parallel
@@ -371,7 +369,7 @@ def range_search(emb_ds, query_ids: list[int], tau: float = RANGE_TAU):
         cmat = _norm_rows(np.array(
             batch["embedding"].to_pylist(), dtype=np.float64)[keep])
         sims = np.round(b_qmat @ cmat.T, 6)
-        qi, ci = np.nonzero(sims >= tau)
+        qi, ci = np.nonzero(sims >= RANGE_TAU)
         if not len(qi):
             return empty
         return pa.table({

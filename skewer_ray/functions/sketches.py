@@ -33,7 +33,7 @@ _FRAC_DIGITS = 15
 _FRAC_DEN = float(16 ** _FRAC_DIGITS)
 
 
-def kmv_distinct_terms(docs_ds, k: int = KMV_K):
+def kmv_distinct_terms(docs_ds):
     """One-row table (k, n_hashes, estimate): approximate distinct-word
     count of the corpus. ``estimate`` equals the exact count whenever
     fewer than k distinct hashes exist (the sketch is lossless below k).
@@ -44,17 +44,17 @@ def kmv_distinct_terms(docs_ds, k: int = KMV_K):
         for t in batch["text"].to_pylist():
             for w in set(norm_words(t)):
                 hs.add(hashlib.md5(w.encode()).hexdigest())
-        return pa.table({"h": pa.array(sorted(hs)[:k], pa.string())})
+        return pa.table({"h": pa.array(sorted(hs)[:KMV_K], pa.string())})
 
     rows = docs_ds.map_batches(local, batch_format="pyarrow").take_all()
-    top = sorted({r["h"] for r in rows})[:k]
-    est = kmv_estimate(top, k)
-    return pa.table({"k": pa.array([k], pa.int64()),
+    top = sorted({r["h"] for r in rows})[:KMV_K]
+    est = kmv_estimate(top, KMV_K)
+    return pa.table({"k": pa.array([KMV_K], pa.int64()),
                      "n_hashes": pa.array([len(top)], pa.int64()),
                      "estimate": pa.array([est], pa.float64())})
 
 
-def kmv_oracle_sql(k: int = KMV_K, words_cte: str | None = None) -> str:
+def kmv_oracle_sql(words_cte: str | None = None) -> str:
     """The identical estimator in DuckDB over the documents view.
 
     ``words_cte`` lets the caller supply the canonical shared words CTE
@@ -69,10 +69,10 @@ WITH w AS (
 )"""
     return words_cte + f""",
 h AS (SELECT DISTINCT md5(t) AS h FROM (SELECT unnest(words) AS t FROM w)),
-top AS (SELECT h FROM h ORDER BY h LIMIT {k})
-SELECT {k} AS k, count(*) AS n_hashes,
-       CASE WHEN count(*) < {k} THEN CAST(count(*) AS DOUBLE)
-            ELSE round(({k} - 1) /
+top AS (SELECT h FROM h ORDER BY h LIMIT {KMV_K})
+SELECT {KMV_K} AS k, count(*) AS n_hashes,
+       CASE WHEN count(*) < {KMV_K} THEN CAST(count(*) AS DOUBLE)
+            ELSE round(({KMV_K} - 1) /
                  (CAST(('0x' || substr(max(h), 1, {_FRAC_DIGITS})) AS BIGINT)
                   / power(16, {_FRAC_DIGITS})), 6)
        END AS estimate
@@ -88,15 +88,14 @@ CMS_DEPTH = 4      # independent hash rows
 CMS_WIDTH = 512    # cells per row
 
 
-def _cms_cell(d: int, term: str, width: int = CMS_WIDTH) -> int:
+def _cms_cell(d: int, term: str) -> int:
     """Row-d cell index: first 15 hex digits of md5("{d}:{term}") mod
-    WIDTH — BIGINT-safe, reproduced verbatim in the SQL oracle."""
+    CMS_WIDTH — BIGINT-safe, reproduced verbatim in the SQL oracle."""
     h = hashlib.md5(f"{d}:{term}".encode()).hexdigest()
-    return int(h[:_FRAC_DIGITS], 16) % width
+    return int(h[:_FRAC_DIGITS], 16) % CMS_WIDTH
 
 
-def cms_term_counts(docs_ds, probe_terms: tuple[str, ...],
-                    depth: int = CMS_DEPTH, width: int = CMS_WIDTH):
+def cms_term_counts(docs_ds, probe_terms: tuple[str, ...]):
     """(term, estimate) for each probe term, where estimate is the
     Count-Min upper bound min_d cells[d][h_d(term)] (Cormode &
     Muthukrishnan 2005) over total word occurrences.
@@ -116,8 +115,8 @@ def cms_term_counts(docs_ds, probe_terms: tuple[str, ...],
                 counts[w] = counts.get(w, 0) + 1
         grid: dict[tuple[int, int], int] = {}
         for w, n in counts.items():
-            for d in range(depth):
-                k = (d, _cms_cell(d, w, width))
+            for d in range(CMS_DEPTH):
+                k = (d, _cms_cell(d, w))
                 grid[k] = grid.get(k, 0) + n
         ks = sorted(grid)
         return pa.table({
@@ -126,7 +125,7 @@ def cms_term_counts(docs_ds, probe_terms: tuple[str, ...],
             "n": pa.array([grid[k] for k in ks], pa.int64()),
         })
 
-    cells = np.zeros((depth, width), dtype=np.int64)
+    cells = np.zeros((CMS_DEPTH, CMS_WIDTH), dtype=np.int64)
     for b in docs_ds.map_batches(local, batch_format="pyarrow") \
                     .iter_batches(batch_format="pyarrow"):
         # np.add.at, NOT fancy-index +=: one iter batch may concatenate
@@ -136,31 +135,30 @@ def cms_term_counts(docs_ds, probe_terms: tuple[str, ...],
                    b["cell"].to_numpy(zero_copy_only=False)),
                   b["n"].to_numpy(zero_copy_only=False))
     terms = sorted(probe_terms)
-    est = [int(min(cells[d][_cms_cell(d, t, width)]
-               for d in range(depth)))
+    est = [int(min(cells[d][_cms_cell(d, t)]
+               for d in range(CMS_DEPTH)))
            for t in terms]
     return pa.table({"term": pa.array(terms, pa.string()),
                      "estimate": pa.array(est, pa.int64())})
 
 
-def cms_oracle_sql(probe_terms: tuple[str, ...], words_cte: str,
-                   depth: int = CMS_DEPTH, width: int = CMS_WIDTH) -> str:
+def cms_oracle_sql(probe_terms: tuple[str, ...], words_cte: str) -> str:
     """The identical grid + min-estimate in DuckDB: word occurrence
     counts → (d, cell) sums with the same md5 cell function → min over
     rows per probe term."""
     probes = ", ".join("'" + t.replace("'", "''") + "'"
                        for t in sorted(probe_terms))
     cell = (f"CAST(('0x' || substr(md5(CAST(d AS VARCHAR) || ':' || t),"
-            f" 1, {_FRAC_DIGITS})) AS BIGINT) % {width}")
+            f" 1, {_FRAC_DIGITS})) AS BIGINT) % {CMS_WIDTH}")
     return words_cte + f""",
 occ AS (SELECT t, count(*) AS n
         FROM (SELECT unnest(words) AS t FROM w) GROUP BY t),
 grid AS (SELECT d, {cell} AS cell, sum(n) AS cn
-         FROM occ CROSS JOIN (SELECT unnest(range({depth})) AS d)
+         FROM occ CROSS JOIN (SELECT unnest(range({CMS_DEPTH})) AS d)
          GROUP BY 1, 2),
 probe AS (SELECT t AS term, d, {cell} AS cell
           FROM (SELECT unnest([{probes}]) AS t)
-          CROSS JOIN (SELECT unnest(range({depth})) AS d))
+          CROSS JOIN (SELECT unnest(range({CMS_DEPTH})) AS d))
 SELECT term,
        CAST(min(coalesce(grid.cn, 0)) AS BIGINT) AS estimate
 FROM probe LEFT JOIN grid ON probe.d = grid.d AND probe.cell = grid.cell
@@ -176,8 +174,7 @@ def kmv_estimate(top: list[str], k: int = KMV_K) -> float:
     return round((k - 1) / kth_frac, 6)
 
 
-def profile_table(ds, int_cols: list[str], str_cols: list[str],
-                  k: int = KMV_K) -> pa.Table:
+def profile_table(ds, int_cols: list[str], str_cols: list[str]) -> pa.Table:
     """ANALYZE-style column statistics in ONE pass: per column the row
     count, null count, KMV distinct estimate (exact whenever the
     column's domain is below k — so small-domain columns get exact
@@ -201,7 +198,7 @@ def profile_table(ds, int_cols: list[str], str_cols: list[str],
             ns.append(len(vals))
             nulls.append(nn)
             top = sorted({hashlib.md5(str(v).encode()).hexdigest()
-                          for v in present})[:k]
+                          for v in present})[:KMV_K]
             hs.append(top)
             if kind == "i":
                 min_i.append(min(present) if present else None)
@@ -246,10 +243,10 @@ def profile_table(ds, int_cols: list[str], str_cols: list[str],
     rows = []
     for c, kind in cols:  # already in declaration order
         a = acc[c]
-        top = sorted(a["hs"])[:k]
+        top = sorted(a["hs"])[:KMV_K]
         mn = a["min_i"] if kind == "i" else a["min_s"]
         mx = a["max_i"] if kind == "i" else a["max_s"]
-        rows.append((c, a["n"], a["n_null"], kmv_estimate(top, k),
+        rows.append((c, a["n"], a["n_null"], kmv_estimate(top, KMV_K),
                      "" if mn is None else str(mn),
                      "" if mx is None else str(mx)))
     return pa.table({
@@ -268,7 +265,7 @@ _HLL_REM_MASK = (1 << _HLL_REM_BITS) - 1
 _HLL_SCALE = 1 << (_HLL_REM_BITS + 1)   # 2^55: exact-int 2^-M scaling
 
 
-def hll_distinct_terms(docs_ds, p: int = HLL_P):
+def hll_distinct_terms(docs_ds):
     """HyperLogLog distinct-word estimate (Flajolet et al. 2007) —
     the O(m)-state cousin of KMV: each worker keeps only 64 int
     registers (max leading-zero rank per register over md5-hashed
@@ -281,7 +278,7 @@ def hll_distinct_terms(docs_ds, p: int = HLL_P):
     "distinct_hll"."""
     import math
 
-    m = 1 << p
+    m = 1 << HLL_P
 
     def local(batch: pa.Table) -> pa.Table:
         regs = np.zeros(m, np.int64)

@@ -218,7 +218,7 @@ BM25_B = 0.75
 BM25_TERMS = ("data", "join", "stream", "vector")
 
 
-def bm25_scores(docs_ds, terms: tuple[str, ...] = BM25_TERMS):
+def bm25_scores(docs_ds):
     """Per-(doc, term) BM25 partial scores for a fixed query-term set:
     score = idf_t · tf·(k1+1) / (tf + k1·(1−b+b·dl/avgdl)) with
     k1 = 1.2, b = 0.75 and the Lucene non-negative idf
@@ -234,7 +234,7 @@ def bm25_scores(docs_ds, terms: tuple[str, ...] = BM25_TERMS):
     task closure)."""
     import math
 
-    k = len(terms)
+    k = len(BM25_TERMS)
 
     def stats(b: pa.Table) -> pa.Table:
         nd, tw = b.num_rows, 0
@@ -243,7 +243,7 @@ def bm25_scores(docs_ds, terms: tuple[str, ...] = BM25_TERMS):
             ws = norm_words(t)
             tw += len(ws)
             seen = set(ws)
-            for i, term in enumerate(terms):
+            for i, term in enumerate(BM25_TERMS):
                 dfs[i] += term in seen
         return pa.table({"nd": pa.array([nd], pa.int64()),
                          "tw": pa.array([tw], pa.int64()),
@@ -263,7 +263,7 @@ def bm25_scores(docs_ds, terms: tuple[str, ...] = BM25_TERMS):
     nd = float(n_docs)
     avgdl = total_w / nd if n_docs else 1.0
     idf = {term: math.log((nd - df[i] + 0.5) / (df[i] + 0.5) + 1.0)
-           for i, term in enumerate(terms) if df[i] > 0}
+           for i, term in enumerate(BM25_TERMS) if df[i] > 0}
 
     def score(b: pa.Table) -> pa.Table:
         o_id, o_t, o_tf, o_s = [], [], [], []

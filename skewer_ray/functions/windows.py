@@ -19,9 +19,10 @@ from ..stages.buckets import run_starts
 
 HOUR_US = 3_600_000_000
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 min
+HOP_US = HOUR_US // 2                 # hopping-window step
 
 
-def tumbling_counts(events_ds, window_us: int = HOUR_US):
+def tumbling_counts(events_ds):
     """(window_start, event_type, n, sum_value): tumbling-window counts.
     The window start is a derived column, so this is an ordinary
     combiner groupby — the streaming-window shuffle collapses to
@@ -29,7 +30,7 @@ def tumbling_counts(events_ds, window_us: int = HOUR_US):
 
     def pre(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64())
-        win = pc.multiply(pc.divide(ts, window_us), window_us)
+        win = pc.multiply(pc.divide(ts, HOUR_US), HOUR_US)
         return pa.table({
             "window_start": pc.cast(win, pa.timestamp("us")),
             "event_type": batch["event_type"],
@@ -49,24 +50,23 @@ def tumbling_counts(events_ds, window_us: int = HOUR_US):
     })
 
 
-def hopping_counts(events_ds, window_us: int = HOUR_US,
-                   hop_us: int = HOUR_US // 2):
+def hopping_counts(events_ds):
     """(window_start, event_type, n, sum_value): HOPPING (sliding)
-    windows — each event lands in ``window_us / hop_us`` overlapping
+    windows — each event lands in ``HOUR_US / HOP_US`` overlapping
     windows. The flat_map-style replication happens inside the same
     combiner pre-transform (rows × overlap factor, then immediate
     partial aggregation), so the shuffle still only carries partial
     rows. Window starts are hop-aligned."""
-    overlap = window_us // hop_us
+    overlap = HOUR_US // HOP_US
 
     def pre(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         # first hop-aligned window containing ts: floor(ts/hop)*hop -
         # (overlap-1) hops ... floor(ts/hop)*hop
-        base = (ts // hop_us) * hop_us
+        base = (ts // HOP_US) * HOP_US
         n = len(ts)
         k = np.arange(overlap, dtype=np.int64)
-        starts = (base[:, None] - (overlap - 1 - k)[None, :] * hop_us)
+        starts = (base[:, None] - (overlap - 1 - k)[None, :] * HOP_US)
         starts = starts.reshape(-1)
         take = pa.array(np.repeat(np.arange(n, dtype=np.int64), overlap))
         return pa.table({
@@ -89,8 +89,7 @@ def hopping_counts(events_ds, window_us: int = HOUR_US,
 SESSION_BUCKET_US = 24 * 3_600_000_000  # segment width for the two-phase form
 
 
-def gap_sessions(events_ds, gap_us: int = SESSION_GAP_US,
-                 bucket_us: int = SESSION_BUCKET_US):
+def gap_sessions(events_ds):
     """(user_id, n_sessions, n_events): gap-based sessionization, WHALE-
     SAFE two-phase form (segmented scan):
 
@@ -102,12 +101,12 @@ def gap_sessions(events_ds, gap_us: int = SESSION_GAP_US,
     phase 2 — groupby user_id over the per-segment SUMMARIES (tiny:
     one row per user per active segment): walk segments in time order
     and subtract one session per adjacent pair whose boundary gap is
-    ≤ gap_us (sessions are additive across segments except at merged
+    ≤ SESSION_GAP_US (sessions are additive across segments except at merged
     boundaries — exact, because events never cross segment boundaries
     out of order).
 
-    Requires bucket_us ≥ gap_us so a session can only span ADJACENT
-    segments.
+    Requires SESSION_BUCKET_US ≥ SESSION_GAP_US so a session can only
+    span ADJACENT segments.
 
     Both phases group by a crc32 hash BUCKET of their key
     (stages/buckets) so one vectorized UDF call processes hundreds of
@@ -116,12 +115,11 @@ def gap_sessions(events_ds, gap_us: int = SESSION_GAP_US,
     at sf0.1). A whale user still splits across phase-1 segments: the
     crc bucket hashes (user, time-bucket), not the user alone."""
     from ..stages.buckets import grouped_by_bucket, run_starts
-    assert bucket_us >= gap_us
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64())
         return batch.append_column(
-            "seg", pc.cast(pc.divide(ts, bucket_us), pa.int64()))
+            "seg", pc.cast(pc.divide(ts, SESSION_BUCKET_US), pa.int64()))
 
     def segment_summaries(batch: pa.Table) -> pa.Table:
         # many (user, seg) segments per call, fully vectorized
@@ -141,7 +139,7 @@ def gap_sessions(events_ds, gap_us: int = SESSION_GAP_US,
         ends = np.append(starts[1:], len(order))
         breaks = np.zeros(len(order), dtype=bool)
         if len(order) > 1:
-            breaks[1:] = (np.diff(ts_s) > gap_us) & ~new_seg[1:]
+            breaks[1:] = (np.diff(ts_s) > SESSION_GAP_US) & ~new_seg[1:]
         cum = np.cumsum(breaks)
         n_sessions = 1 + cum[ends - 1] - cum[starts]
         return pa.table({
@@ -174,7 +172,7 @@ def gap_sessions(events_ds, gap_us: int = SESSION_GAP_US,
         merged = np.zeros(len(user_s), dtype=bool)
         if len(user_s) > 1:
             merged[1:] = ~starts[1:] & \
-                (first[order][1:] - last[order][:-1] <= gap_us)
+                (first[order][1:] - last[order][:-1] <= SESSION_GAP_US)
         cum_ns = np.concatenate(([0], np.cumsum(ns[order])))
         cum_m = np.concatenate(([0], np.cumsum(merged)))
         cum_ev = np.concatenate(([0], np.cumsum(nev[order])))
@@ -190,10 +188,9 @@ def gap_sessions(events_ds, gap_us: int = SESSION_GAP_US,
                              coalesce=False)
 
 
-def asof_join_events(events_ds, left_type: str = "purchase",
-                     right_type: str = "click"):
+def asof_join_events(events_ds):
     """As-of join (an operator Ray Data lacks natively): for every
-    ``left_type`` event, the most recent ``right_type`` event of the
+    purchase event, the most recent click event of the
     SAME user with ``r.ts <= l.ts`` — ties on ts broken by the larger
     event_id. Inner semantics: lefts with no prior right are dropped.
 
@@ -213,13 +210,13 @@ def asof_join_events(events_ds, left_type: str = "purchase",
 
     def pre(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch["event_type"],
-                        value_set=pa.array([left_type, right_type]))
+                        value_set=pa.array(["purchase", "click"]))
         b = batch.filter(keep)
         return pa.table({
             "user_id": b["user_id"],
             "event_id": b["event_id"],
             "ts": b["ts"],
-            "is_left": pc.equal(b["event_type"], left_type),
+            "is_left": pc.equal(b["event_type"], "purchase"),
         })
 
     def sweep(tbl: pa.Table) -> pa.Table:
@@ -256,26 +253,23 @@ def asof_join_events(events_ds, left_type: str = "purchase",
     return grouped_by_bucket(pruned, sweep, key="user_id")
 
 
-def burst_events(events_ds, lookback_us: int = 6 * 3_600_000_000,
-                 k: int = 3):
+def burst_events(events_ds):
     """Burst / velocity alerting (the CEP threshold rule every abuse
-    pipeline runs): events preceded by ≥ k same-user events in the
-    lookback window. A filter composed over ``range_join_counts`` —
+    pipeline runs): events preceded by ≥ 3 same-user events in the
+    6-hour lookback window. A filter composed over ``range_join_counts`` —
     the shuffle and sweep are shared, the threshold is a vectorized
     post-filter."""
-    counts = range_join_counts(events_ds, lookback_us=lookback_us)
+    counts = range_join_counts(events_ds, lookback_us=6 * HOUR_US)
 
     def keep(b: pa.Table) -> pa.Table:
-        return b.filter(pc.greater_equal(b["n_prior"], k))
+        return b.filter(pc.greater_equal(b["n_prior"], 3))
 
     return counts.map_batches(keep, batch_format="pyarrow")
 
 
-def funnel_conversions(events_ds, first_type: str = "click",
-                       then_type: str = "purchase",
-                       within_us: int = 3_600_000_000):
-    """Funnel step: per user, how many ``then_type`` events had a
-    ``first_type`` event at-or-before them within the window
+def funnel_conversions(events_ds):
+    """Funnel step: per user, how many purchase events had a
+    click event at-or-before them within the hour
     (conversion), plus the total. ONE user-BUCKET-keyed shuffle
     (stages/buckets — one vectorized call per ~100s of users, not one
     Ray dispatch per user); inside the call a segmented forward-fill
@@ -286,12 +280,12 @@ def funnel_conversions(events_ds, first_type: str = "click",
 
     def pre(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch["event_type"],
-                        value_set=pa.array([first_type, then_type]))
+                        value_set=pa.array(["click", "purchase"]))
         b = batch.filter(keep)
         return pa.table({
             "user_id": b["user_id"],
             "ts": b["ts"],
-            "is_then": pc.equal(b["event_type"], then_type),
+            "is_then": pc.equal(b["event_type"], "purchase"),
         })
 
     def sweep(tbl: pa.Table) -> pa.Table:
@@ -313,7 +307,7 @@ def funnel_conversions(events_ds, first_type: str = "click",
         ok[ok] &= (acc[ok] // n) == sid[ok]
         conv = np.zeros(n, dtype=np.int64)
         hit = np.flatnonzero(ok)
-        conv[hit] = (t[hit] - t[acc[hit] % n] <= within_us).astype(np.int64)
+        conv[hit] = (t[hit] - t[acc[hit] % n] <= HOUR_US).astype(np.int64)
         sidx = np.flatnonzero(starts)
         eidx = np.append(sidx[1:], n)
         cum_t = np.concatenate(([0], np.cumsum(it.astype(np.int64))))
@@ -388,8 +382,11 @@ def running_totals(events_ds):
     return grouped_by_bucket(pruned, sweep, key="user_id")
 
 
-def topn_per_group(events_ds, n: int = 3):
-    """ROW_NUMBER() ≤ n per group without a global sort: two-phase
+TOP_N = 3
+
+
+def topn_per_group(events_ds):
+    """ROW_NUMBER() ≤ n (TOP_N) per group without a global sort: two-phase
     top-N. Phase 1 (map-side): each batch emits at most n candidate
     rows per event_type (value desc, event_id asc). Phase 2 (driver):
     merge the ≤ types×n×batches candidates and assign ranks. The
@@ -405,7 +402,7 @@ def topn_per_group(events_ds, n: int = 3):
         keep = []
         for t in np.unique(et):
             idx = np.nonzero(et == t)[0]
-            order = np.lexsort((eid[idx], -val[idx]))[:n]
+            order = np.lexsort((eid[idx], -val[idx]))[:TOP_N]
             keep.extend(idx[order])
         k = pa.array(sorted(keep), pa.int64())
         return b.select(["event_type", "event_id", "value"]).take(k)
@@ -418,7 +415,7 @@ def topn_per_group(events_ds, n: int = 3):
                 (-r["value"], r["event_id"]))
     rows = []
     for t in sorted(cand):
-        for rank, (nv, eid) in enumerate(sorted(cand[t])[:n], start=1):
+        for rank, (nv, eid) in enumerate(sorted(cand[t])[:TOP_N], start=1):
             rows.append((t, rank, eid, -nv))
     return pa.table({
         "event_type": pa.array([r[0] for r in rows], pa.string()),
@@ -431,7 +428,7 @@ def topn_per_group(events_ds, n: int = 3):
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
-def pivot_counts(events_ds, types=EVENT_TYPES):
+def pivot_counts(events_ds):
     """PIVOT: one row per user with a count column per event type plus
     an exact integer-cents value total. The pivoted column set is the
     (fixed, documented) event-type domain; the per-user combine is the
@@ -443,20 +440,20 @@ def pivot_counts(events_ds, types=EVENT_TYPES):
 
     def pre(batch: pa.Table) -> pa.Table:
         cols = {"user_id": batch["user_id"]}
-        for t in types:
+        for t in EVENT_TYPES:
             cols[f"n_{t}"] = pc.cast(
                 pc.equal(batch["event_type"], t), pa.int64())
         cols["cents"] = pc.cast(pc.round(pc.multiply(batch["value"], 100)),
                                 pa.int64())
         return pa.table(cols)
 
-    specs = [(f"n_{t}", "sum") for t in types] + [("cents", "sum")]
+    specs = [(f"n_{t}", "sum") for t in EVENT_TYPES] + [("cents", "sum")]
     out = grouped_stats(events_ds, "user_id", specs, pre=pre,
                         combine="shuffle")
 
     def finish(b: pa.Table) -> pa.Table:
         cols = {"user_id": b["user_id"]}
-        for t in types:
+        for t in EVENT_TYPES:
             cols[f"n_{t}"] = b[f"sum_n_{t}"]
         cols["sum_value"] = pc.round(
             pc.divide(pc.cast(b["sum_cents"], pa.float64()), 100.0),
@@ -466,8 +463,7 @@ def pivot_counts(events_ds, types=EVENT_TYPES):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-def users_without(events_ds, event_type: str = "purchase",
-                  min_value: float = 100.0):
+def users_without(events_ds):
     """Anti-join / NOT EXISTS: users with ZERO qualifying events (type +
     value threshold). Expressed as an aggregate-then-filter (per-user
     indicator sum == 0) so the only exchange is the same skew-safe
@@ -476,8 +472,8 @@ def users_without(events_ds, event_type: str = "purchase",
     """
 
     def pre(batch: pa.Table) -> pa.Table:
-        hit = pc.and_(pc.equal(batch["event_type"], event_type),
-                      pc.greater(batch["value"], min_value))
+        hit = pc.and_(pc.equal(batch["event_type"], "purchase"),
+                      pc.greater(batch["value"], 100.0))
         return pa.table({
             "user_id": batch["user_id"],
             "hit": pc.cast(hit, pa.int64())})
@@ -799,12 +795,11 @@ def upsert_latest(events_ds):
 ALERT_THRESHOLD = 2
 
 
-def alert_windows(events_ds, window_us: int = HOUR_US,
-                  threshold: int = ALERT_THRESHOLD):
+def alert_windows(events_ds, threshold: int = ALERT_THRESHOLD):
     """Edge-triggered threshold alerts — the monitoring-rule operator:
     per (user, tumbling window) event counts, where a row FIRES when
     the count reaches ``threshold`` and the count in the immediately
-    preceding window (window_start - window_us; 0 when that window has
+    preceding window (window_start - HOUR_US; 0 when that window has
     no events) was below it — i.e. the alert raises on the crossing,
     not on every hot window (the classic alert-dedup rule of log
     monitors).
@@ -821,7 +816,7 @@ def alert_windows(events_ds, window_us: int = HOUR_US,
 
     def pre(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64())
-        win = pc.multiply(pc.divide(ts, window_us), window_us)
+        win = pc.multiply(pc.divide(ts, HOUR_US), HOUR_US)
         t = pa.table({"user_id": batch["user_id"], "win": win})
         part = t.group_by(["user_id", "win"]).aggregate([("win", "count")])
         return part.rename_columns(["user_id", "win", "n"])
@@ -836,7 +831,7 @@ def alert_windows(events_ds, window_us: int = HOUR_US,
         uid, win, n = uid[order], win[order], n[order]
         prev_n = np.zeros_like(n)
         if len(n) > 1:
-            adj = (uid[1:] == uid[:-1]) & (win[1:] - win[:-1] == window_us)
+            adj = (uid[1:] == uid[:-1]) & (win[1:] - win[:-1] == HOUR_US)
             prev_n[1:][adj] = n[:-1][adj]
         fired = (n >= threshold) & (prev_n < threshold)
         return pa.table({
@@ -855,8 +850,7 @@ def alert_windows(events_ds, window_us: int = HOUR_US,
 RATE_LIMIT_N = 3
 
 
-def rate_limit(events_ds, window_us: int = HOUR_US,
-               limit: int = RATE_LIMIT_N):
+def rate_limit(events_ds, limit: int = RATE_LIMIT_N):
     """Per-key rate limiting — the log-gateway throttle rule: within
     each (user, tumbling window) only the first ``limit`` events by
     (ts, event_id) pass; later ones are marked dropped. Every event is
@@ -874,7 +868,7 @@ def rate_limit(events_ds, window_us: int = HOUR_US,
         uid = tbl["user_id"].to_numpy(zero_copy_only=False)
         ts = pc.cast(tbl["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         eid = tbl["event_id"].to_numpy(zero_copy_only=False)
-        win = (ts // window_us) * window_us
+        win = (ts // HOUR_US) * HOUR_US
         order = np.lexsort((eid, ts, win, uid))
         uid, ts, eid, win = uid[order], ts[order], eid[order], win[order]
         # first row of each (user, window) run → segmented 1-based rank
@@ -901,8 +895,7 @@ CUSUM_K = 2   # reference value: expected per-window count
 CUSUM_H = 5   # decision threshold
 
 
-def cusum_changepoints(events_ds, window_us: int = HOUR_US,
-                       k: int = CUSUM_K, h: int = CUSUM_H):
+def cusum_changepoints(events_ds, k: int = CUSUM_K, h: int = CUSUM_H):
     """One-sided CUSUM change detection (Page 1954) over per-type
     tumbling-window counts — the drift/regime-shift monitor: S_t =
     max(0, S_{t-1} + (n_t - k)) per event_type over its EXISTING
@@ -920,7 +913,7 @@ def cusum_changepoints(events_ds, window_us: int = HOUR_US,
 
     def pre(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64())
-        win = pc.multiply(pc.divide(ts, window_us), window_us)
+        win = pc.multiply(pc.divide(ts, HOUR_US), HOUR_US)
         t = pa.table({"event_type": batch["event_type"], "w": win,
                       "n": pa.array(np.ones(len(batch), np.int64))})
         return t.group_by(["event_type", "w"]).aggregate([("n", "sum")]) \
@@ -961,10 +954,10 @@ def cusum_changepoints(events_ds, window_us: int = HOUR_US,
 ATTR_LOOKBACK_US = 6 * 3_600_000_000
 
 
-def attribution_linear(events_ds, lookback_us: int = ATTR_LOOKBACK_US):
+def attribution_linear(events_ds):
     """Linear multi-touch attribution — each purchase splits exactly
     1,000,000 ppm of credit equally across the SAME user's clicks in
-    the lookback window (c.ts <= p.ts < c.ts + lookback); the integer
+    the lookback window (c.ts <= p.ts < c.ts + ATTR_LOOKBACK_US); the integer
     remainder goes to the EARLIEST click (ties by event_id), so credit
     is conserved exactly per purchase and the fold is order-exact.
     Output per credited click: (click_event, user_id, credit_ppm).
@@ -1005,7 +998,8 @@ def attribution_linear(events_ds, lookback_us: int = ATTR_LOOKBACK_US):
             p_ts = ts[s0:s1][~m_c]
             if not len(c_ts) or not len(p_ts):
                 continue
-            lo = np.searchsorted(c_ts, p_ts - lookback_us, side="right")
+            lo = np.searchsorted(c_ts, p_ts - ATTR_LOOKBACK_US,
+                                 side="right")
             hi = np.searchsorted(c_ts, p_ts, side="right")
             n = hi - lo
             ok = n > 0
@@ -1034,7 +1028,7 @@ def attribution_linear(events_ds, lookback_us: int = ATTR_LOOKBACK_US):
 PSI_DAY_US = 86_400_000_000
 
 
-def psi_drift(events_ds, day_us: int = PSI_DAY_US):
+def psi_drift(events_ds):
     """Population Stability Index per day — the distribution-drift
     monitor: PSI_d = sum over event types of (p - q) * ln(p / q) with
     Laplace-smoothed shares p = (c_day + 1) / (n_day + k) vs the
@@ -1048,7 +1042,7 @@ def psi_drift(events_ds, day_us: int = PSI_DAY_US):
 
     def pre(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64())
-        d = pc.multiply(pc.divide(ts, day_us), day_us)
+        d = pc.multiply(pc.divide(ts, PSI_DAY_US), PSI_DAY_US)
         t = pa.table({"d": d, "et": batch["event_type"],
                       "n": pa.array(np.ones(len(batch), np.int64))})
         return t.group_by(["d", "et"]).aggregate([("n", "sum")])
@@ -1084,7 +1078,10 @@ def psi_drift(events_ds, day_us: int = PSI_DAY_US):
     })
 
 
-def wilson_ctr(events_ds, z: float = 1.96):
+WILSON_Z = 1.96   # 95% normal quantile
+
+
+def wilson_ctr(events_ds):
     """Wilson score lower bound of each user's click share
     s / (clicks + views) — the rank-safe CTR estimate (small-sample
     shrinkage) a feedback-ranking pipeline uses instead of the raw
@@ -1121,10 +1118,10 @@ def wilson_ctr(events_ds, z: float = 1.96):
         g = df.groupby("user_id", sort=True).sum()
         s = g["s"].to_numpy(np.float64)
         n = g["n"].to_numpy(np.float64)
-        z2 = z * z
+        z2 = WILSON_Z * WILSON_Z
         ph = s / n
         lb = (ph + z2 / (2 * n)
-              - z * np.sqrt((ph * (1 - ph) + z2 / (4 * n)) / n)) \
+              - WILSON_Z * np.sqrt((ph * (1 - ph) + z2 / (4 * n)) / n)) \
             / (1 + z2 / n)
         return pa.table({
             "user_id": pa.array(g.index.to_numpy(np.int64)),
@@ -1202,9 +1199,9 @@ def autocorr_daily(events_ds):
     })
 
 
-def seasonal_error(events_ds, lag_days: int = 7):
+def seasonal_error(events_ds):
     """Seasonal-naive forecast error: MAE of predicting each day's
-    count by the count ``lag_days`` earlier (calendar join, pairs where
+    count by the count 7 days earlier (calendar join, pairs where
     both days are observed) — the baseline every forecasting eval
     starts from. Σ|diff| and the pair count are exact ints; the micro
     MAE is one shared division. Output per type:
@@ -1221,7 +1218,7 @@ def seasonal_error(events_ds, lag_days: int = 7):
         tot = 0
         cnt = 0
         for d, x in g.items():
-            nx = g.get(d + lag_days * D)
+            nx = g.get(d + 7 * D)
             if nx is not None:
                 tot += abs(nx - x)
                 cnt += 1
@@ -1634,9 +1631,9 @@ def scd2_intervals(events_ds):
 WEEK_US = 7 * 86_400_000_000
 
 
-def ab_test_z(events_ds, convert_type: str = "purchase"):
+def ab_test_z(events_ds):
     """Experiment read-out: two-proportion z-test of the user-level
-    conversion rate (ever fired ``convert_type``) between the even- and
+    conversion rate (ever fired a purchase) between the even- and
     odd-user_id cohorts — the A/B significance check run over an event
     log. Exact integer cohort counts; the pooled-variance z is ONE
     shared IEEE expression with the SQL mirror "ab_test_z". Output:
@@ -1653,7 +1650,7 @@ def ab_test_z(events_ds, convert_type: str = "purchase"):
             "user_id": pc.cast(batch["user_id"], pa.int64())
             .to_numpy(zero_copy_only=False),
             "conv": (np.asarray(
-                [t == convert_type
+                [t == "purchase"
                  for t in batch["event_type"].to_pylist()])
                 .astype(np.int64)),
         })
@@ -1946,7 +1943,7 @@ def rolling_active_7d(events_ds):
                      "n_active_7d": pa.array(out_n, pa.int64())})
 
 
-def interval_join_counts(events_ds, quarter: int = 4):
+def interval_join_counts(events_ds):
     """Broadcast interval join (the third temporal join Ray Data
     lacks, after as-of and range self-join): count ALL events whose ts
     falls inside each event-type's opening window — the interval table
@@ -1977,7 +1974,7 @@ def interval_join_counts(events_ds, quarter: int = 4):
     types = stats["event_type"].to_pylist()
     lo = np.asarray(stats["min_us"].to_pylist(), dtype=np.int64)
     hi = lo + (np.asarray(stats["max_us"].to_pylist(),
-                          dtype=np.int64) - lo) // quarter
+                          dtype=np.int64) - lo) // 4
 
     def count_in(batch: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")),
@@ -2008,12 +2005,11 @@ def interval_join_counts(events_ds, quarter: int = 4):
 FUNNEL3_W_US = 86_400_000_000     # 1 day per consecutive step
 
 
-def funnel_stages(events_ds, steps=("view", "click", "purchase"),
-                  window_us: int = FUNNEL3_W_US):
+def funnel_stages(events_ds):
     """Ordered k-step windowed funnel (the CEP pattern the 2-step
     ``funnel_conversions`` doesn't cover): per user, the deepest stage
-    s such that events of types steps[0..s-1] occur in order with each
-    consecutive gap ≤ ``window_us`` (inclusive bounds; equal
+    s such that the first s of view, click, purchase occur in order with
+    each consecutive gap ≤ ``FUNNEL3_W_US`` (inclusive bounds; equal
     timestamps satisfy the order). Greedy-earliest is WRONG here — an
     early step-2 event can strand a late step-3 — so each stage
     validates against the FULL set of prior-stage-valid events: event
@@ -2028,7 +2024,7 @@ def funnel_stages(events_ds, steps=("view", "click", "purchase"),
     """
     from ..stages.buckets import grouped_by_bucket
 
-    step_list = list(steps)
+    step_list = ["view", "click", "purchase"]
 
     def pre(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch["event_type"],
@@ -2062,7 +2058,7 @@ def funnel_stages(events_ds, steps=("view", "click", "purchase"),
             if not len(qt) or not len(valid_t):
                 break
             # any prior-stage-valid event in [qt - window, qt]?
-            lo_i = _seg_searchsorted(valid_t, valid_sid, qt - window_us,
+            lo_i = _seg_searchsorted(valid_t, valid_sid, qt - FUNNEL3_W_US,
                                      "left", query_sid=qsid)
             hi_i = _seg_searchsorted(valid_t, valid_sid, qt, "right",
                                      query_sid=qsid)
@@ -2090,7 +2086,7 @@ SYMBOL_OF = {"view": "v", "click": "c", "purchase": "p",
              "signup": "s", "error": "e"}
 
 
-def match_recognize_counts(events_ds, pattern: str = "vc*p"):
+def match_recognize_counts(events_ds):
     """Sequence pattern matching over event streams — the
     MATCH_RECOGNIZE / CEP surface (SQL:2016 row-pattern recognition,
     Flink CEP), reduced to its regex core: each user's events become a
@@ -2112,7 +2108,7 @@ def match_recognize_counts(events_ds, pattern: str = "vc*p"):
     types = list(SYMBOL_OF)
     syms = np.frombuffer("".join(SYMBOL_OF[t] for t in types).encode(),
                          dtype=np.uint8)
-    rx = _re.compile(pattern)
+    rx = _re.compile("vc*p")
 
     def pre(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch["event_type"], value_set=pa.array(types))

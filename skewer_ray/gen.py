@@ -248,7 +248,7 @@ def transcripts_path(sf_dir: str) -> str:
     return os.path.join(DATA_ROOT, sf_name, "transcripts.parquet")
 
 
-def ensure_transcripts(sf_dir: str, rows_per_file: int = 50_000) -> str:
+def ensure_transcripts(sf_dir: str) -> str:
     """Idempotently materialize the transcript table for a scale factor.
 
     Returns a directory of one-or-more parquet files (multiple files give
@@ -262,7 +262,7 @@ def ensure_transcripts(sf_dir: str, rows_per_file: int = 50_000) -> str:
     table = generate_table(turns_for_sf(sf_name))
     tmp = path + ".tmp"
     os.makedirs(tmp, exist_ok=True)
-    nfiles = max(1, (table.num_rows + rows_per_file - 1) // rows_per_file)
+    nfiles = max(1, (table.num_rows + 49_999) // 50_000)  # 50k-row files
     per = (table.num_rows + nfiles - 1) // nfiles
     for k in range(nfiles):
         # small-ish files AND row groups: the read stage parallelizes at
@@ -282,11 +282,10 @@ def ensure_transcripts(sf_dir: str, rows_per_file: int = 50_000) -> str:
     return path
 
 
-def ensure_scaled_events(factor: int = 5,
-                         base: str = "/root/testdata/sf0.1") -> str:
-    """Deterministic larger-scale events table for benchmarks: the base
-    sf0.1 stream tiled ``factor``× with DISJOINT user_id / event_id
-    ranges (ts untouched). Per-user history shapes are preserved
+def ensure_scaled_events(sf_dir: str, factor: int = 5) -> str:
+    """Deterministic larger-scale events table for benchmarks: the
+    ``sf_dir`` events stream tiled ``factor``× with DISJOINT user_id /
+    event_id ranges (ts untouched). Per-user history shapes are preserved
     exactly while the user count — the axis the bucketed event
     operators shuffle and segment on — grows ``factor``×, which is the
     honest scaling test for them (bigger per-user groups would instead
@@ -294,13 +293,13 @@ def ensure_scaled_events(factor: int = 5,
 
     Returns a directory containing events.parquet, matching the
     ``{sf_dir}/events.parquet`` layout the event queries read."""
-    name = f"sf0.1x{factor}"
+    name = f"{os.path.basename(os.path.normpath(sf_dir))}x{factor}"
     out_dir = os.path.join(DATA_ROOT, name)
     done = os.path.join(out_dir, "_EVENTS_DONE")
     if os.path.exists(done):
         return out_dir
     import pyarrow.compute as pc_
-    t = pq.read_table(os.path.join(base, "events.parquet"))
+    t = pq.read_table(os.path.join(sf_dir, "events.parquet"))
     uid_span = int(pc_.max(t["user_id"]).as_py()) + 1
     eid_span = int(pc_.max(t["event_id"]).as_py()) + 1
     tiles = []

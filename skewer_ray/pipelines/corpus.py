@@ -140,8 +140,8 @@ def q_knn_classify(sf_dir: str):
     (functions/similarity.knn_classify)."""
     from ..functions.similarity import knn_classify
 
-    def emb_with_label(sf=sf_dir):
-        return rd.read_parquet(f"{sf}/embeddings.parquet",
+    def emb_with_label():
+        return rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding", "label"])
     return knn_classify(emb_with_label(), ANN_QUERY_IDS, k=ANN_K)
 

@@ -71,8 +71,8 @@ def _fused(ds, specs):
                           batch_size=PARSE_BATCH)
 
 
-def build_parsed(ds, config: PipelineConfig | None = None):
-    return _fused(ds, _specs(config or default_config())[:1])
+def build_parsed(ds):
+    return _fused(ds, _specs(default_config())[:1])
 
 
 def build_routed(ds, config: PipelineConfig | None = None):

@@ -37,11 +37,10 @@ def _fam_mask(batch: pa.Table, fams) -> np.ndarray:
     return np.isin(family_array(batch["conv_id"]), fams)
 
 
-def _keep_families(fams, require_ok=True):
+def _keep_families(fams):
     def fn(batch: pa.Table) -> pa.Table:
         mask = _fam_mask(batch, fams)
-        if require_ok:
-            mask &= np.asarray(batch["parse_ok"].to_pylist(), dtype=bool)
+        mask &= np.asarray(batch["parse_ok"].to_pylist(), dtype=bool)
         return batch.filter(pa.array(mask))
     return fn
 

@@ -44,14 +44,16 @@ class RelpParseError(ValueError):
     pass
 
 
+RELP_MAX_DATA = 132_000   # largest DATALEN a frame may declare
+
+
 class RelpStreamParser:
     """Incremental RELP frame parser: feed() arbitrary byte chunks,
     collect complete frames (the streaming equivalent of RelpSplit —
     partial frames stay buffered until the rest arrives)."""
 
-    def __init__(self, max_data: int = 132_000):
+    def __init__(self):
         self._buf = b""
-        self.max_data = max_data
 
     def feed(self, chunk: bytes) -> list[RelpFrame]:
         self._buf += chunk
@@ -98,7 +100,7 @@ class RelpStreamParser:
                 raise RelpParseError("bad datalen")
             return None  # digits may continue in the next chunk
         datalen = int(rest[:dl_end])
-        if datalen > self.max_data:
+        if datalen > RELP_MAX_DATA:
             raise RelpParseError(f"frame too large: {datalen}")
         sep = rest[dl_end:dl_end + 1]
         if datalen == 0:

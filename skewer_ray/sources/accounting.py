@@ -62,13 +62,13 @@ def parse_acct_records(data: bytes, source: str = "acct") -> pa.Table:
     })
 
 
-def write_acct_fixture(path: str, n: int = 100, seed_base: int = 7) -> None:
+def write_acct_fixture(path: str, n: int = 100) -> None:
     """Deterministic synthetic acct file (no RNG — pure index math)."""
     arr = np.zeros(n, dtype=ACCT_DTYPE)
     for i in range(n):
         arr[i]["flag"] = 0
         arr[i]["version"] = 3
-        arr[i]["uid"] = 1000 + (i * seed_base) % 5
+        arr[i]["uid"] = 1000 + (i * 7) % 5
         arr[i]["gid"] = 100 + i % 3
         arr[i]["pid"] = 2000 + i
         arr[i]["ppid"] = 1

@@ -143,16 +143,15 @@ def grouped_count(ds, keys: list[str], pre=None, combine: str = "driver"):
 N_SALTS = 64
 
 
-def salted_distinct_count(ds, key: str, value_col: str,
-                          n_salts: int = N_SALTS, pre=None):
+def salted_distinct_count(ds, key: str, value_col: str):
     """Exact COUNT(DISTINCT value) GROUP BY key via SALTED
     repartitioning — the north rule's hot-key treatment for the one
     aggregate a map-side combiner canNOT bound: distinct-counting
     keeps per-group SET state proportional to the value domain, so a
     whale key would concentrate its entire domain in one task.
 
-    Salt = crc32(value) % n_salts: round 1 shuffles by (key, salt), so
-    a whale key's values split across ``n_salts`` independent groups —
+    Salt = crc32(value) % N_SALTS: round 1 shuffles by (key, salt), so
+    a whale key's values split across ``N_SALTS`` independent groups —
     and the split is EXACT, because equal values always hash to the
     same salt, so no value is double-counted across groups. Each group
     emits one (key, n_distinct_partial) row; round 2 is a tiny keyed
@@ -163,11 +162,9 @@ def salted_distinct_count(ds, key: str, value_col: str,
     from .buckets import grouped_by_bucket
 
     def add_salt(b: pa.Table) -> pa.Table:
-        if pre is not None:
-            b = pre(b)
         vals = b[value_col].to_pylist()
         salt = pa.array(
-            [zlib.crc32(str(v).encode()) % n_salts for v in vals],
+            [zlib.crc32(str(v).encode()) % N_SALTS for v in vals],
             pa.int32())
         return pa.table({key: b[key], value_col: b[value_col],
                          "salt": salt})

@@ -20,7 +20,7 @@ render the filename template, sanitized (store/dests/filedest.go:218-235);
 es sinks render the index-name template, unsanitized; catch-all sinks
 use "all".
 
-Encoding, framing and plain-substitution templates are vectorized Arrow
+Encoding and plain-substitution templates are vectorized Arrow
 ops (encoders/vectorized.py — byte-identical to the per-row encoders).
 Formats without a vectorized form (gelf/avro/protobuf/fulljson) and
 templates with format specs fall back to per-row calls over one lazy
@@ -41,7 +41,7 @@ import pyarrow.compute as pc
 
 from ..config import (SinkConfig, render_template, render_template_batch,
                       template_pieces)
-from ..encoders import BINARY_ENCODERS, get_encoder
+from ..encoders import get_encoder
 from ..encoders.vectorized import _render_unique, encode_batch, ts_date
 from .esbulk import valid_index_name
 from .route import LazyCols, Row
@@ -118,41 +118,6 @@ class FanoutEncodeStage:
                 cols[c] = sub[c]
         return pa.table(cols)
 
-    @staticmethod
-    def _frame(framing: str, enc_arr, sub: pa.Table,
-               encoder: str = "rfc5424"):
-        """Vectorized wire framing of the encoded payload (nulls =
-        PermError propagate). Octet: '<len> <data>'; RELP:
-        '<txnr> syslog <len> <data>\\n' with deterministic
-        txnr = turn_idx (the per-connection counter has no meaning in a
-        batch re-run; ordering lineage lives in uid/manifests).
-
-        Wire length: text encoders store real UTF-8, so byte length =
-        binary_length; binary encoders (protobuf/avro) carry raw bytes
-        latin-1-mapped — one CODEPOINT per byte — so their wire length
-        is utf8_length (ADVICE r02: binary_length would double-count
-        chars ≥ 0x80 and emit invalid octet counts)."""
-        if encoder in BINARY_ENCODERS:
-            nbytes = pc.cast(pc.utf8_length(enc_arr), pa.string())
-        else:
-            nbytes = pc.cast(pc.binary_length(enc_arr), pa.string())
-        empty = pc.equal(enc_arr, "")
-        if framing == "octet":
-            # empty payload frames to nothing (encoder.go:148-151)
-            return pc.if_else(
-                empty, "",
-                pc.binary_join_element_wise(nbytes, " ", enc_arr, ""))
-        if framing == "relp":
-            txnr = pc.cast(pc.cast(sub["turn_idx"], pa.int64()),
-                           pa.string())
-            framed = pc.binary_join_element_wise(
-                txnr, " syslog ", nbytes, " ", enc_arr, "\n", "")
-            return pc.if_else(
-                empty,
-                pc.binary_join_element_wise(txnr, " syslog 0\n", ""),
-                framed)
-        raise ValueError(f"unknown framing: {framing}")
-
     def _deliver(self, sub: pa.Table, sink, records) -> list[pa.Table]:
         """One destination's account of the passing rows ``sub``:
         delivered ("passing", with route and wire bytes), refused
@@ -162,8 +127,6 @@ class FanoutEncodeStage:
         enc = encode_batch(s.encoder, sub)
         if enc is None:
             enc = pa.array([encode(r) for r in records()], pa.string())
-        if s.framing:
-            enc = self._frame(s.framing, enc, sub, s.encoder)
         if s.kind == "kafka":
             route = sub["topic"]
         elif s.kind not in _TMPL_KINDS:

@@ -72,16 +72,15 @@ def recover(root: str) -> int:
     return restored
 
 
-def compact_dir(leaf: str, target_rows: int = TARGET_ROWS,
-                min_files: int = 2) -> dict:
+def compact_dir(leaf: str, target_rows: int = TARGET_ROWS) -> dict:
     """Compact one leaf directory. Returns a report dict
     (files_before, files_after, rows). No-op (files_after ==
-    files_before) when the leaf already has < ``min_files`` fragments.
+    files_before) when the leaf already has < 2 fragments.
     """
     files = sorted(f for f in os.listdir(leaf) if f.endswith(".parquet"))
     rows = sum(pq.ParquetFile(os.path.join(leaf, f)).metadata.num_rows
                for f in files)
-    if len(files) < min_files:
+    if len(files) < 2:
         return {"leaf": leaf, "files_before": len(files),
                 "files_after": len(files), "rows": rows}
 

@@ -704,8 +704,12 @@ def config_from_toml(text_or_path: str) -> PipelineConfig:
         i = len(decoder_for_family)
         decoder_for_family[i] = DecoderConfig(format="rfc3164")
         hooks_for[i] = hookset(_hook_key(data["journald"]))
+    if not decoder_for_family:
+        # every turn would find no decoder and fail its task
+        raise ValueError("config has no source: add a [[syslog]] section "
+                         "or enable [journald]")
 
-    hooks_for[None] = next(iter(hooks_for.values())) if hooks_for else HookSet()
+    hooks_for[None] = next(iter(hooks_for.values()))
 
     sinks: list[SinkConfig] = []
     if "kafka" in data:

@@ -283,11 +283,6 @@ def test_w3c():
     assert recs[1]["sub_idx"] == 1
 
 
-def test_ltsv_stub_parity():
-    # decoders/ltsv.go:5-7 returns no messages
-    assert decode("ltsv_stub", "a:b\tc:d") == []
-
-
 def test_ltsv_real():
     r = one("ltsv", "time:2026-01-15T00:00:00Z\thost:h\tapp:a\tmsg:m\textra:e")
     assert r["hostname"] == "h" and r["appname"] == "a" and r["message"] == "m"

@@ -296,12 +296,9 @@ def test_protowire_golden_bytes():
 
 
 def test_framing_encoders():
-    """Octet-counted and RELP frames (encoders/encoder.go:139-178):
-    per-row helpers and the vectorized fan-out form agree byte-for-byte,
-    lengths count utf-8 BYTES."""
-    import pyarrow as pa
+    """Octet-counted and RELP frames (encoders/encoder.go:139-178), as
+    the client sinks write them: lengths count utf-8 BYTES."""
     from skewer_ray.encoders import frame_octet, frame_relp
-    from skewer_ray.stages.fanout import FanoutEncodeStage
 
     assert frame_octet("abc") == "3 abc"
     assert frame_octet("é") == "2 é"          # utf-8 bytes, not chars
@@ -309,62 +306,16 @@ def test_framing_encoders():
     assert frame_relp(7, "syslog", "hello") == "7 syslog 5 hello\n"
     assert frame_relp(8, "syslog", "") == "8 syslog 0\n"
 
-    sub = pa.table({"turn_idx": pa.array([7, 8], pa.int32())})
-    enc = pa.array(["hello", ""], pa.string())
-    oct_v = FanoutEncodeStage._frame("octet", enc, sub).to_pylist()
-    assert oct_v == [frame_octet("hello"), frame_octet("")]
-    relp_v = FanoutEncodeStage._frame("relp", enc, sub).to_pylist()
-    assert relp_v == [frame_relp(7, "syslog", "hello"),
-                      frame_relp(8, "syslog", "")]
-    # null payloads (PermError) stay null through framing
-    enc2 = pa.array(["x", None], pa.string())
-    assert FanoutEncodeStage._frame("octet", enc2, sub).to_pylist() == \
-        ["1 x", None]
-
     # BINARY encoders carry latin-1 bytes: the octet count is the raw
     # byte count (codepoints), not the inflated UTF-8 storage length
     # (ADVICE r02) — round-trip through latin-1 restores a valid frame
     raw = b"\x08\x96\x01\xff\x80"              # protobuf-ish wire bytes
     carried = raw.decode("latin-1")
-    sub1 = pa.table({"turn_idx": pa.array([3], pa.int32())})
-    enc3 = pa.array([carried], pa.string())
-    framed = FanoutEncodeStage._frame("octet", enc3, sub1,
-                                      encoder="protobuf").to_pylist()[0]
+    framed = frame_octet(carried, binary=True)
     assert framed == f"{len(raw)} {carried}"
     assert framed.encode("latin-1") == b"5 " + raw
-    assert frame_octet(carried, binary=True) == framed
-    rf = FanoutEncodeStage._frame("relp", enc3, sub1,
-                                  encoder="avro").to_pylist()[0]
-    assert rf == frame_relp(3, "syslog", carried, binary=True)
+    rf = frame_relp(3, "syslog", carried, binary=True)
     assert rf.encode("latin-1") == b"3 syslog 5 " + raw + b"\n"
-
-
-def test_framed_sink_through_fanout():
-    from skewer_ray.config import SinkConfig, default_config
-    from skewer_ray.gen import generate_table
-    from skewer_ray.stages import (EnrichStage, FanoutEncodeStage,
-                                   ParseStage, RouterStage)
-    import pyarrow.compute as pc
-
-    cfg = default_config()
-    tbl = generate_table(500)
-    b = ParseStage(decoder_for_family=cfg.decoder_for_family,
-                   custom_parsers=cfg.custom_parsers)(tbl)
-    b = EnrichStage(role_lookup=cfg.role_lookup,
-                    tool_lookup=cfg.tool_lookup)(b)
-    b = RouterStage(hooks=cfg.hooks)(b)
-    out = FanoutEncodeStage(sinks=(
-        SinkConfig(name="relp", kind="kafka", encoder="rfc5424",
-                   framing="relp"),))(b)
-    passing = out.filter(pc.equal(out["status"], "passing"))
-    assert passing.num_rows > 0
-    for t, e in zip(passing["turn_idx"].to_pylist()[:50],
-                    passing["encoded"].to_pylist()[:50]):
-        head, rest = e.split(" ", 1)
-        assert int(head) == t
-        assert rest.startswith("syslog ") and e.endswith("\n")
-        n, payload = rest[7:].split(" ", 1)
-        assert int(n) == len(payload[:-1].encode("utf-8"))
 
 
 def test_fanout_per_row_fallbacks_match_row_encoders():

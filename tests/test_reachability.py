@@ -6,7 +6,13 @@ than on its own definition line.
 
 ``#`` comments are dropped before the search, but a mention in a
 docstring still counts as a use, so the check is a lower bound on
-test-only code; it never flags a name a run reaches."""
+test-only code; it never flags a name a run reaches.
+
+The same holds for parameters: every defaulted parameter of a ``def``
+in ``skewer_ray/`` must be passed by some call in those files, or it is
+a constant dressed as an option. Calls match the callee by bare name
+(``f(...)`` and ``x.f(...)`` both match every ``def f``), so this too is
+a lower bound on never-set parameters."""
 
 from __future__ import annotations
 
@@ -32,6 +38,38 @@ ALLOWED = {
     "generate_skew_table": "skew fixture generator for the skew tests",
     "HttpClientSink": "client sink, waiting for a deliver step",
 }
+
+
+# defaulted parameters only tests set, each with its reason
+SEAMS = {
+    "connected_components(small_graph_max)":
+        "forces the distributed path on a small test graph",
+    "_group_counts(batch_size)":
+        "small batches make the lineage count stream over several",
+    "pack_sequences(budget)": "a small budget cuts packs on a small corpus",
+    "pack_sequences(n_buckets)":
+        "few buckets make packs straddle segment boundaries",
+    "late_event_counts(lateness_us)": "sweeps the lateness bound",
+    "late_event_counts(n_buckets)":
+        "few buckets make the scan cross segment boundaries",
+    "alert_windows(threshold)": "sweeps the firing threshold",
+    "rate_limit(limit)": "sweeps the per-window limit",
+    "cusum_changepoints(k)": "sweeps the CUSUM reference value",
+    "cusum_changepoints(h)": "sweeps the CUSUM decision threshold",
+    "decontaminate(mod)": "a denser benchmark slice on a small corpus",
+    "tfidf_top_terms(k)": "checks the top-k cut at several k",
+    "grok_extract(drop_unmatched)": "checks that unmatched rows are kept",
+    "ivf_topk(nprobe)": "probing every list must equal the exact top-k",
+    "matryoshka_rerank(prefix_dims)": "sweeps the prefix width",
+    "matryoshka_rerank(m)": "sweeps the candidate count",
+    "mmr_diversify(m)": "sweeps the candidate count",
+    "heavy_hitters(k)": "a small k makes the summary truncate",
+    "trending_terms(k)": "checks the top-k cut at several k",
+}
+
+# standard signatures, not options: the console entry point and the
+# mapping protocol
+_PROTOCOL = {("main", "argv"), ("get", "default")}
 
 
 def _search_files() -> list[Path]:
@@ -89,3 +127,96 @@ def test_every_public_name_is_used_outside_tests():
     assert not extra, "used only by tests:\n" + "\n".join(extra)
     assert set(unused) == set(ALLOWED), \
         f"allowlisted but used or gone: {sorted(set(ALLOWED) - set(unused))}"
+
+
+def _bare(node) -> str | None:
+    """``f`` for ``f`` and for ``x.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _calls_and_values(files):
+    """Every call by callee name, and the names used as values (passed,
+    stored or returned rather than called): such a def may be called
+    through any other name."""
+    calls: dict[str, list] = {}
+    values: set[str] = set()
+    for p in files:
+        tree = ast.parse(p.read_text())
+        callees = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                callees.add(id(n.func))
+                calls.setdefault(_bare(n.func), []).append(n)
+        for n in ast.walk(tree):
+            if id(n) not in callees and \
+                    isinstance(getattr(n, "ctx", None), ast.Load):
+                values.add(_bare(n))
+    return calls, values
+
+
+def _package_defs():
+    """(path, enclosing class or None, def) for every def in the package."""
+    def walk(path, node, cls):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, ast.ClassDef):
+                yield from walk(path, ch, ch.name)
+            elif isinstance(ch, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, cls, ch
+                yield from walk(path, ch, None)
+            else:
+                yield from walk(path, ch, cls)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield from walk(path, ast.parse(path.read_text()), None)
+
+
+def _defaulted(fn: ast.FunctionDef, bound: int):
+    """(name, call position or None) of each defaulted parameter; the
+    position of a bound method's parameter skips ``self``."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for i, arg in enumerate(pos[first:], first):
+        yield arg.arg, i - bound
+    for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+        if d is not None:
+            yield arg.arg, None
+
+
+def _sets(call: ast.Call, param: str, pos) -> bool:
+    if any(isinstance(x, ast.Starred) for x in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True                       # *args / **kwargs: maybe
+    return any(k.arg == param for k in call.keywords) or \
+        (pos is not None and len(call.args) > pos)
+
+
+def test_every_parameter_is_set_outside_tests():
+    """Never-set defaulted parameters are exactly ``SEAMS``: a new one
+    fails, and so does a seam that a run now sets (or that is gone).
+    A constructor is matched through its class name; the client sinks
+    and test oracles in ``ALLOWED`` are skipped with their classes."""
+    calls, values = _calls_and_values(_search_files())
+    unset = {}
+    for path, cls, fn in _package_defs():
+        ctor = cls is not None and fn.name == "__init__"
+        name = cls if ctor else fn.name
+        if cls in ALLOWED or name in ALLOWED or name in values:
+            continue
+        static = any(_bare(d) == "staticmethod" for d in fn.decorator_list)
+        bound = int(cls is not None and not static)
+        label = name if ctor or cls is None else f"{cls}.{fn.name}"
+        for param, pos in _defaulted(fn, bound):
+            if (fn.name, param) in _PROTOCOL or \
+                    any(_sets(c, param, pos) for c in calls.get(name, [])):
+                continue
+            key = f"{label}({param})"
+            unset[key] = f"{path.relative_to(ROOT)}:{fn.lineno} {key}"
+    extra = sorted(v for k, v in unset.items() if k not in SEAMS)
+    assert not extra, "defaulted parameters no run sets:\n" + \
+        "\n".join(extra)
+    assert set(unset) == set(SEAMS), \
+        f"allowlisted but set or gone: {sorted(set(SEAMS) - set(unset))}"

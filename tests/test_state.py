@@ -712,6 +712,31 @@ def test_watch_run_keeps_last_good_plan_on_invalid_config(monkeypatch,
     assert list(agg.columns) == ["sink", "status", "n"]
 
 
+def test_watch_run_keeps_last_good_plan_on_sourceless_config(monkeypatch,
+                                                              caplog):
+    """A fetched config with no source would fail every task of the next
+    pass; it is rejected at load, so the watch keeps the old plan."""
+    import pandas as pd
+
+    import skewer_ray.cli as cli
+
+    good = '[[syslog]]\n  port = 1514\n  format = "rfc5424"\n'
+    served = iter([("v1", good), ("v2", '[kafka]\n  brokers = ["x"]\n')])
+    runs = []
+
+    def fake_run(input_dir, out_dir, config=None):
+        runs.append([d.format for d in config.decoder_for_family.values()])
+        return pd.DataFrame({"sink": ["kafka"], "status": ["passing"],
+                             "n": [1]})
+
+    monkeypatch.setattr("skewer_ray.state.run_partitioned", fake_run)
+    caplog.set_level(logging.INFO, logger="skewer_ray.cli")
+    cli.watch_run("in", "out", interval=0.01, max_passes=2,
+                  watcher=lambda: next(served))
+    assert runs == [["rfc5424"], ["rfc5424"]]
+    assert "config v2 rejected" in caplog.text
+
+
 def test_sigkill_mid_run_then_resume_matches_clean_run(
         small_input, tmp_path, ray_session):
     """Chaos drill (store/store.go:887-941 recovery): SIGKILL the

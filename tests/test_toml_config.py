@@ -82,6 +82,20 @@ def test_config_from_toml_structure():
     assert isinstance(cfg.hooks, dict) and 0 in cfg.hooks and 1 in cfg.hooks
 
 
+def test_config_without_a_source_is_refused():
+    """No [[syslog]] section and no enabled [journald] leaves every
+    turn without a decoder: the load fails, not each task later."""
+    import pytest
+
+    for text in ('[kafka]\n  brokers = ["x"]\n',
+                 '[journald]\n  enabled = false\n[kafka]\n'):
+        with pytest.raises(ValueError, match="no source"):
+            config_from_toml(text)
+    cfg = config_from_toml('[journald]\n  enabled = true\n')
+    assert [c.format for c in cfg.decoder_for_family.values()] == \
+        ["rfc3164"]
+
+
 def test_toml_hooks_through_router(ray_session):
     """The compiled Python hooks behave like the reference contract:
     template topics, FILTER enum results, PASS mutation write-back, and

@@ -10,10 +10,21 @@ order-insensitive value hash. Usage:
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
 import duckdb
 import pandas as pd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _use_checkout() -> None:
+    """Import this checkout's package, here and in Ray workers."""
+    sys.path.insert(0, ROOT)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(
+            os.pathsep) if p])
 
 
 def normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -47,6 +58,7 @@ def to_pandas(obj) -> pd.DataFrame:
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
+    _use_checkout()
 
     import ray
     if not ray.is_initialized():
@@ -55,13 +67,11 @@ def main():
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entry
 
     queries = entry.queries()
     oracles = entry.oracle_sql()
 
-    import os
     sf_name = os.path.basename(os.path.normpath(sf_dir))
     if sf_name != "sf0.01":
         from skewer_ray.pipelines.oracles import oracle_sql_for
