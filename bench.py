@@ -147,9 +147,9 @@ GROUPED_EVENT_OPS = ("events_asof", "events_range_counts",
                      "retention_cohorts")
 
 
-def run_grouped_events(sf_dir: str, num_cpus: int, factor: int = 5) -> dict:
+def run_grouped_events(num_cpus: int, factor: int = 5) -> dict:
     """The five bucketed event operators over a factor×-scaled events
-    table (``sf_dir`` tiled with disjoint user ranges; sf0.1 ≈ sf0.5) — the
+    table (sf0.1 tiled with disjoint user ranges ≈ sf0.5) — the
     VERDICT r04 #10 scale row for the ops migrated off per-user
     map_groups this round."""
     import pyarrow.parquet as pq
@@ -157,7 +157,7 @@ def run_grouped_events(sf_dir: str, num_cpus: int, factor: int = 5) -> dict:
     from skewer_ray.pipelines import corpus as cq
     _init_ray(num_cpus)
     _warmup(num_cpus)
-    d = ensure_scaled_events(sf_dir, factor)
+    d = ensure_scaled_events(factor)
     n = pq.ParquetFile(os.path.join(d, "events.parquet")) \
         .metadata.num_rows
     fns = {"events_asof": cq.q_events_asof,
@@ -178,7 +178,7 @@ def run_grouped_events(sf_dir: str, num_cpus: int, factor: int = 5) -> dict:
     import ray
     ray.shutdown()
     return {"metric": "grouped event ops at 5x sf0.1 events",
-            "unit": "sec", "sf": os.path.basename(d), "n_events": n,
+            "unit": "sec", "sf": f"sf0.1x{factor}", "n_events": n,
             "num_cpus": num_cpus, "queries": out}
 
 
@@ -416,7 +416,7 @@ def main():
     elif args.mp_control:
         result = run_mp_control()
     elif args.events_run:
-        result = run_grouped_events(args.sf_dir, args.cpus)
+        result = run_grouped_events(args.cpus)
     else:
         result = run_once(args.sf_dir, args.cpus, args.single_run,
                           args.passes)

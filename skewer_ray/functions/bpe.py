@@ -53,11 +53,11 @@ def pair_counts_kernel(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return uniq, counts.astype(np.int64)
 
 
-def bpe_merge_candidates(docs_ds, top_k: int = TOP_PAIRS) -> pa.Table:
+def bpe_merge_candidates(docs_ds) -> pa.Table:
     """Top-K adjacent character pairs over the corpus word stream.
 
     Returns (left_sym, right_sym, n) with the deterministic tie-break
-    (n DESC, left ASC, right ASC), truncated to ``top_k`` rows."""
+    (n DESC, left ASC, right ASC), truncated to ``TOP_PAIRS`` rows."""
     from .textstats import norm_words
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -75,7 +75,7 @@ def bpe_merge_candidates(docs_ds, top_k: int = TOP_PAIRS) -> pa.Table:
             acc[k] = acc.get(k, 0) + n
     pairs = [(chr(k >> 32), chr(k & 0xFFFFFFFF), n) for k, n in acc.items()]
     pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
-    pairs = pairs[:top_k]
+    pairs = pairs[:TOP_PAIRS]
     return pa.table({
         "left_sym": pa.array([p[0] for p in pairs], pa.string()),
         "right_sym": pa.array([p[1] for p in pairs], pa.string()),
@@ -107,7 +107,7 @@ def bpe_encode(docs_ds):
 
     from .textstats import norm_words
 
-    cand = bpe_merge_candidates(docs_ds, TOP_PAIRS)
+    cand = bpe_merge_candidates(docs_ds)
     merges = [(ls, rs) for ls, rs in zip(cand["left_sym"].to_pylist(),
                                          cand["right_sym"].to_pylist())]
     bc = ray.put(merges)

@@ -60,9 +60,8 @@ def local_topk_table(batch: pa.Table, group_col: str, order_col: str,
     return t.filter(pa.array(rank < k))
 
 
-def cap_per_group(docs_ds, group_col: str = "source",
-                  order_col: str = "doc_id", k: int = 50):
-    """Keep the K smallest ``order_col`` rows per ``group_col`` (quota
+def cap_per_group(docs_ds, k: int = 50):
+    """Keep the K smallest ``doc_id`` rows per ``source`` (quota
     capping, e.g. max N documents per domain).
 
     Phase 1 (map): per-batch top-K per group — output ≤ groups×K rows
@@ -70,56 +69,55 @@ def cap_per_group(docs_ds, group_col: str = "source",
     top-K per group. Associative, so two-phase is exact."""
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        return local_topk_table(batch, group_col, order_col, k,
+        return local_topk_table(batch, "source", "doc_id", k,
                                 ("doc_id", "source", "lang"))
 
     partials = docs_ds.map_batches(local_topk, batch_format="pyarrow")
-    return partials.groupby(group_col).map_groups(
+    return partials.groupby("source").map_groups(
         local_topk, batch_format="pyarrow")
 
 
-def chunk_table(batch: pa.Table, size: int, stride: int,
-                id_col: str = "doc_id",
-                text_col: str = "text") -> pa.Table:
+def chunk_table(batch: pa.Table, size: int, stride: int) -> pa.Table:
     """One batch of 1→N sliding-window chunks (the per-batch kernel of
     ``chunk_docs``; exposed for direct/property testing): one Arrow
     utf8_slice_codeunits call per chunk index covers the whole batch;
     rows too short for that index are filtered by a length mask."""
-    n = pc.utf8_length(batch[text_col])
+    n = pc.utf8_length(batch["text"])
     max_len = pc.max(n).as_py() or 0
     ids, idxs, chunks = [], [], []
     i = 0
     while i * stride < max_len:
         off = i * stride
         alive = pc.greater(n, off)
-        sub_ids = batch[id_col].filter(alive)
+        sub_ids = batch["doc_id"].filter(alive)
         sub_txt = pc.utf8_slice_codeunits(
-            batch[text_col].filter(alive), off, off + size)
+            batch["text"].filter(alive), off, off + size)
         ids.append(sub_ids)
         idxs.append(pa.array(
             np.full(len(sub_ids), i, dtype=np.int64), pa.int64()))
         chunks.append(sub_txt)
         i += 1
     if not ids:
-        return pa.table({id_col: pa.array([], batch[id_col].type),
+        return pa.table({"doc_id": pa.array([], batch["doc_id"].type),
                          "chunk_idx": pa.array([], pa.int64()),
                          "chunk": pa.array([], pa.string())})
     cat = lambda xs: pa.concat_arrays(  # noqa: E731
         [x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x
          for x in xs])
-    return pa.table({id_col: cat(ids),
+    return pa.table({"doc_id": cat(ids),
                      "chunk_idx": cat(idxs),
                      "chunk": cat(chunks)})
 
 
-def chunk_docs(docs_ds, size: int = 200, stride: int = 150):
+def chunk_docs(docs_ds):
     """1→N sliding-window chunks: (doc_id, chunk_idx, chunk) with
-    ``chunk = text[chunk_idx*stride : chunk_idx*stride + size]``, for
-    every chunk_idx with chunk_idx*stride < len(text). Chunk count per
-    batch is bounded by the longest document, not the row count."""
+    ``chunk = text[chunk_idx*150 : chunk_idx*150 + 200]`` (stride 150,
+    size 200), for every chunk_idx with chunk_idx*150 < len(text).
+    Chunk count per batch is bounded by the longest document, not the
+    row count."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        return chunk_table(batch, size, stride, "doc_id", "text")
+        return chunk_table(batch, 200, 150)
 
     return docs_ds.select_columns(["doc_id", "text"]).map_batches(
         fn, batch_format="pyarrow")

@@ -428,23 +428,27 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return ham
 
 
-def simhash_pairs(docs_ds, max_hamming: int = 3):
-    """SimHash near-dup pairs: (doc_a, doc_b, hamming ≤ max_hamming).
+SIMHASH_MAX_HAMMING = 3
+
+
+def simhash_pairs(docs_ds):
+    """SimHash near-dup pairs: (doc_a, doc_b, hamming ≤
+    ``SIMHASH_MAX_HAMMING``).
 
     EXACT banded shuffle (the SimHash analogue of the MinHash band
-    path): the 60-bit signature is split into ``max_hamming + 1``
-    bit-bands; by pigeonhole any pair within max_hamming flips agrees
+    path): the 60-bit signature is split into ``SIMHASH_MAX_HAMMING
+    + 1`` bit-bands; by pigeonhole any pair within that many flips agrees
     on at least one whole band. ONE crc32-bucketed exchange keyed by
     (band, band_val): inside a bucket, runs of equal (band, band_val)
     are segmented vectorized, and a pair is emitted only from its
     FIRST agreeing band — ownership is decided from the full signatures
     the rows already carry (``(xor >> offset) & mask == 0`` per earlier
-    band, ≤ max_hamming vector ops), so removing the old
+    band, ≤ SIMHASH_MAX_HAMMING vector ops), so removing the old
     (doc_a, doc_b) dedup groupby costs zero extra exchange bytes.
     Nothing broadcasts or materializes the signature table."""
     from ..stages.buckets import grouped_by_bucket, run_starts
 
-    n_bands = max_hamming + 1
+    n_bands = SIMHASH_MAX_HAMMING + 1
     width = 60 // n_bands
     widths = [width + (1 if b < 60 % n_bands else 0) for b in range(n_bands)]
     offsets = [sum(widths[:b]) for b in range(n_bands)]
@@ -503,7 +507,7 @@ def simhash_pairs(docs_ds, max_hamming: int = 3):
                     own &= ((xors >> offsets[bb])
                             & ((1 << widths[bb]) - 1)) != 0
                 ham = _popcount64(xors)
-                for d in np.nonzero(own & (ham <= max_hamming))[0]:
+                for d in np.nonzero(own & (ham <= SIMHASH_MAX_HAMMING))[0]:
                     a_out.append(int(ids[x]))
                     b_out.append(int(ids[x + 1 + d]))
                     h_out.append(int(ham[d]))

@@ -48,7 +48,7 @@ def kmv_distinct_terms(docs_ds):
 
     rows = docs_ds.map_batches(local, batch_format="pyarrow").take_all()
     top = sorted({r["h"] for r in rows})[:KMV_K]
-    est = kmv_estimate(top, KMV_K)
+    est = kmv_estimate(top)
     return pa.table({"k": pa.array([KMV_K], pa.int64()),
                      "n_hashes": pa.array([len(top)], pa.int64()),
                      "estimate": pa.array([est], pa.float64())})
@@ -165,13 +165,13 @@ FROM probe LEFT JOIN grid ON probe.d = grid.d AND probe.cell = grid.cell
 GROUP BY term"""
 
 
-def kmv_estimate(top: list[str], k: int = KMV_K) -> float:
-    """THE shared KMV estimator rule (exact below k): callers pass the
-    globally k-smallest distinct md5 hex hashes."""
-    if len(top) < k:
+def kmv_estimate(top: list[str]) -> float:
+    """THE shared KMV estimator rule (exact below k = ``KMV_K``):
+    callers pass the globally k-smallest distinct md5 hex hashes."""
+    if len(top) < KMV_K:
         return float(len(top))
-    kth_frac = int(top[k - 1][:_FRAC_DIGITS], 16) / _FRAC_DEN
-    return round((k - 1) / kth_frac, 6)
+    kth_frac = int(top[KMV_K - 1][:_FRAC_DIGITS], 16) / _FRAC_DEN
+    return round((KMV_K - 1) / kth_frac, 6)
 
 
 def profile_table(ds, int_cols: list[str], str_cols: list[str]) -> pa.Table:
@@ -246,7 +246,7 @@ def profile_table(ds, int_cols: list[str], str_cols: list[str]) -> pa.Table:
         top = sorted(a["hs"])[:KMV_K]
         mn = a["min_i"] if kind == "i" else a["min_s"]
         mx = a["max_i"] if kind == "i" else a["max_s"]
-        rows.append((c, a["n"], a["n_null"], kmv_estimate(top, KMV_K),
+        rows.append((c, a["n"], a["n_null"], kmv_estimate(top),
                      "" if mn is None else str(mn),
                      "" if mx is None else str(mx)))
     return pa.table({

@@ -87,6 +87,7 @@ def hopping_counts(events_ds):
 
 
 SESSION_BUCKET_US = 24 * 3_600_000_000  # segment width for the two-phase form
+assert SESSION_BUCKET_US >= SESSION_GAP_US  # gap_sessions is exact only then
 
 
 def gap_sessions(events_ds):

@@ -282,10 +282,13 @@ def ensure_transcripts(sf_dir: str) -> str:
     return path
 
 
-def ensure_scaled_events(sf_dir: str, factor: int = 5) -> str:
-    """Deterministic larger-scale events table for benchmarks: the
-    ``sf_dir`` events stream tiled ``factor``× with DISJOINT user_id /
-    event_id ranges (ts untouched). Per-user history shapes are preserved
+SCALED_EVENTS_BASE = "/root/testdata/sf0.1"
+
+
+def ensure_scaled_events(factor: int = 5) -> str:
+    """Deterministic larger-scale events table for benchmarks: the base
+    sf0.1 stream tiled ``factor``× with DISJOINT user_id / event_id
+    ranges (ts untouched). Per-user history shapes are preserved
     exactly while the user count — the axis the bucketed event
     operators shuffle and segment on — grows ``factor``×, which is the
     honest scaling test for them (bigger per-user groups would instead
@@ -293,13 +296,13 @@ def ensure_scaled_events(sf_dir: str, factor: int = 5) -> str:
 
     Returns a directory containing events.parquet, matching the
     ``{sf_dir}/events.parquet`` layout the event queries read."""
-    name = f"{os.path.basename(os.path.normpath(sf_dir))}x{factor}"
+    name = f"sf0.1x{factor}"
     out_dir = os.path.join(DATA_ROOT, name)
     done = os.path.join(out_dir, "_EVENTS_DONE")
     if os.path.exists(done):
         return out_dir
     import pyarrow.compute as pc_
-    t = pq.read_table(os.path.join(sf_dir, "events.parquet"))
+    t = pq.read_table(os.path.join(SCALED_EVENTS_BASE, "events.parquet"))
     uid_span = int(pc_.max(t["user_id"]).as_py()) + 1
     eid_span = int(pc_.max(t["event_id"]).as_py()) + 1
     tiles = []

@@ -80,7 +80,7 @@ def q_dedup_simhash(sf_dir: str):
 
 def q_dedup_simhash_pairs(sf_dir: str):
     from ..functions.dedup import simhash_pairs
-    return simhash_pairs(_docs(sf_dir), max_hamming=3)
+    return simhash_pairs(_docs(sf_dir))
 
 
 def q_dedup_embedding(sf_dir: str):
@@ -100,15 +100,14 @@ def q_cap_per_source(sf_dir: str):
     two-phase top-K — partial top-K per batch, keyed combine
     (functions/curation.cap_per_group)."""
     from ..functions.curation import cap_per_group
-    return cap_per_group(_docs_full(sf_dir), group_col="source",
-                         order_col="doc_id", k=10)
+    return cap_per_group(_docs_full(sf_dir), k=10)
 
 
 def q_chunk_docs(sf_dir: str):
     """Sliding-window chunking (size 200 / stride 150, 1→N) —
     vectorized Arrow slices (functions/curation.chunk_docs)."""
     from ..functions.curation import chunk_docs
-    return chunk_docs(_docs(sf_dir), size=200, stride=150)
+    return chunk_docs(_docs(sf_dir))
 
 
 def q_pack_sequences(sf_dir: str):

@@ -326,7 +326,7 @@ def test_simhash_band_shuffle_exact_at_10x(ray_session):
             expect.add((int(ids[x]), int(ids[x + 1 + d])))
 
     got = {(r["doc_a"], r["doc_b"])
-           for r in simhash_pairs(docs, max_hamming=3).take_all()}
+           for r in simhash_pairs(docs).take_all()}
     assert got == expect
     assert len(expect) > 0
 

@@ -83,7 +83,7 @@ def test_cap_per_group_exact_vs_sort(ray_session):
     ds = rd.read_parquet(f"{SF}/documents.parquet",
                          columns=["doc_id", "lang", "source"])
     got = {(r["source"], r["doc_id"])
-           for r in cap_per_group(ds, "source", "doc_id", k=7).take_all()}
+           for r in cap_per_group(ds, k=7).take_all()}
     df = ds.to_pandas()
     want = set()
     for src, sub in df.groupby("source"):
@@ -100,7 +100,7 @@ def test_chunk_docs_covers_text(ray_session):
     ds = rd.read_parquet(f"{SF}/documents.parquet",
                          columns=["doc_id", "text"])
     docs = {r["doc_id"]: r["text"] for r in ds.take_all()}
-    out = chunk_docs(ds, size=200, stride=150).take_all()
+    out = chunk_docs(ds).take_all()
     by_doc: dict[int, list] = {}
     for r in out:
         by_doc.setdefault(r["doc_id"], []).append((r["chunk_idx"], r["chunk"]))

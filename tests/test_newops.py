@@ -41,7 +41,7 @@ def test_bpe_merge_candidates_end_to_end(ray_session):
     import ray.data as rd
     docs = rd.from_items([{"doc_id": 0, "text": "aa ab aa"},
                           {"doc_id": 1, "text": "AB"}])
-    t = bpe_merge_candidates(docs, top_k=3)
+    t = bpe_merge_candidates(docs)
     rows = [(r["left_sym"], r["right_sym"], r["n"]) for r in t.to_pylist()]
     # words: aa, ab, aa, ab → pairs (a,a)x2, (a,b)x2; tie → (a,a) first
     assert rows == [("a", "a", 2), ("a", "b", 2)]

@@ -174,24 +174,34 @@ def _package_defs():
 
 
 def _defaulted(fn: ast.FunctionDef, bound: int):
-    """(name, call position or None) of each defaulted parameter; the
-    position of a bound method's parameter skips ``self``."""
+    """(name, call position or None, default) of each defaulted
+    parameter; the position of a bound method's parameter skips
+    ``self``."""
     a = fn.args
     pos = a.posonlyargs + a.args
     first = len(pos) - len(a.defaults)
-    for i, arg in enumerate(pos[first:], first):
-        yield arg.arg, i - bound
+    for i, (arg, d) in enumerate(zip(pos[first:], a.defaults), first):
+        yield arg.arg, i - bound, _expr(d)
     for arg, d in zip(a.kwonlyargs, a.kw_defaults):
         if d is not None:
-            yield arg.arg, None
+            yield arg.arg, None, _expr(d)
 
 
-def _sets(call: ast.Call, param: str, pos) -> bool:
+def _expr(node) -> str:
+    """A comparable form of an expression: ``K`` and ``m.K`` are equal."""
+    return _bare(node) or ast.dump(node)
+
+
+def _sets(call: ast.Call, param: str, pos, default: str) -> bool:
+    """Whether ``call`` passes ``param`` a value other than its own
+    default expression (passing the default sets nothing)."""
     if any(isinstance(x, ast.Starred) for x in call.args) or \
             any(k.arg is None for k in call.keywords):
         return True                       # *args / **kwargs: maybe
-    return any(k.arg == param for k in call.keywords) or \
-        (pos is not None and len(call.args) > pos)
+    given = [k.value for k in call.keywords if k.arg == param]
+    if pos is not None and len(call.args) > pos:
+        given.append(call.args[pos])
+    return any(_expr(v) != default for v in given)
 
 
 def test_every_parameter_is_set_outside_tests():
@@ -209,9 +219,10 @@ def test_every_parameter_is_set_outside_tests():
         static = any(_bare(d) == "staticmethod" for d in fn.decorator_list)
         bound = int(cls is not None and not static)
         label = name if ctor or cls is None else f"{cls}.{fn.name}"
-        for param, pos in _defaulted(fn, bound):
-            if (fn.name, param) in _PROTOCOL or \
-                    any(_sets(c, param, pos) for c in calls.get(name, [])):
+        for param, pos, default in _defaulted(fn, bound):
+            if (fn.name, param) in _PROTOCOL or any(
+                    _sets(c, param, pos, default)
+                    for c in calls.get(name, [])):
                 continue
             key = f"{label}({param})"
             unset[key] = f"{path.relative_to(ROOT)}:{fn.lineno} {key}"

@@ -62,11 +62,11 @@ def test_kmv_estimator_hand_fixture():
     """Below k → exact count; at k the estimate is (k-1)/kth_fraction —
     checked against a hand-built hash list where the kth 15-hex-digit
     prefix is exactly 0.5 of the hash space."""
-    from skewer_ray.functions.sketches import kmv_estimate
-    assert kmv_estimate(["a", "b", "c"], k=4) == 3.0
-    top = ["100000000000000", "200000000000000", "300000000000000",
-           "800000000000000"]  # kth prefix = 0x8.. = 0.5 exactly
-    assert kmv_estimate(top, k=4) == round(3 / 0.5, 6) == 6.0
+    from skewer_ray.functions.sketches import KMV_K, kmv_estimate
+    assert kmv_estimate(["a", "b", "c"]) == 3.0
+    top = [f"{i:015x}" for i in range(1, KMV_K)] + \
+        ["800000000000000"]  # kth prefix = 0x8.. = 0.5 exactly
+    assert kmv_estimate(top) == round((KMV_K - 1) / 0.5, 6) == 510.0
 
 
 def test_multiline_rule_hand_fixture(ray_session):

@@ -123,7 +123,7 @@ def test_cap_per_group_whale_group_bounded(ray_session):
     assert whale_rows == k  # not the whale's 20,000
 
     got = {(r["source"], r["doc_id"])
-           for r in cap_per_group(ds, "source", "doc_id", k=k).take_all()}
+           for r in cap_per_group(ds, k=k).take_all()}
     df = tbl.to_pandas()
     want = set()
     for s, sub in df.groupby("source"):

@@ -16,15 +16,7 @@ import sys
 import duckdb
 import pandas as pd
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _use_checkout() -> None:
-    """Import this checkout's package, here and in Ray workers."""
-    sys.path.insert(0, ROOT)
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(
-            os.pathsep) if p])
+from _checkout import use_checkout
 
 
 def normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -58,7 +50,7 @@ def to_pandas(obj) -> pd.DataFrame:
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
-    _use_checkout()
+    use_checkout()
 
     import ray
     if not ray.is_initialized():

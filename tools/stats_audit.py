@@ -18,20 +18,11 @@ Notes
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _use_checkout() -> None:
-    """Import this checkout's package, here and in Ray workers."""
-    sys.path.insert(0, ROOT)
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(
-            os.pathsep) if p])
+from _checkout import use_checkout
 
 
 def main() -> int:
@@ -41,7 +32,7 @@ def main() -> int:
     ap.add_argument("--cpus", type=int, default=8)
     ap.add_argument("--full", action="store_true")
     args = ap.parse_args()
-    _use_checkout()
+    use_checkout()
 
     import ray
     if not ray.is_initialized():
