@@ -147,17 +147,17 @@ GROUPED_EVENT_OPS = ("events_asof", "events_range_counts",
                      "retention_cohorts")
 
 
-def run_grouped_events(num_cpus: int, factor: int = 5) -> dict:
-    """The five bucketed event operators over a factor×-scaled events
+def run_grouped_events(num_cpus: int) -> dict:
+    """The five bucketed event operators over a 5×-scaled events
     table (sf0.1 tiled with disjoint user ranges ≈ sf0.5) — the
     VERDICT r04 #10 scale row for the ops migrated off per-user
     map_groups this round."""
     import pyarrow.parquet as pq
-    from skewer_ray.gen import ensure_scaled_events
+    from skewer_ray.gen import SCALED_EVENTS_FACTOR, ensure_scaled_events
     from skewer_ray.pipelines import corpus as cq
     _init_ray(num_cpus)
     _warmup(num_cpus)
-    d = ensure_scaled_events(factor)
+    d = ensure_scaled_events()
     n = pq.ParquetFile(os.path.join(d, "events.parquet")) \
         .metadata.num_rows
     fns = {"events_asof": cq.q_events_asof,
@@ -178,8 +178,8 @@ def run_grouped_events(num_cpus: int, factor: int = 5) -> dict:
     import ray
     ray.shutdown()
     return {"metric": "grouped event ops at 5x sf0.1 events",
-            "unit": "sec", "sf": f"sf0.1x{factor}", "n_events": n,
-            "num_cpus": num_cpus, "queries": out}
+            "unit": "sec", "sf": f"sf0.1x{SCALED_EVENTS_FACTOR}",
+            "n_events": n, "num_cpus": num_cpus, "queries": out}
 
 
 def run_once(sf_dir: str, num_cpus: int, flagship_only: bool,

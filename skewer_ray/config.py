@@ -167,9 +167,9 @@ class SinkConfig:
         (filedest.go:199-263 — the filename is a template over msg fields).
     kind "stderr": single catch-all route.
 
-    Wire framing (octet counting, RELP) belongs to the transport: the
-    client sinks frame each row with ``encoders.frame_octet`` /
-    ``frame_relp``.
+    Each row's ``encoded`` payload is written unframed: a destination
+    is its ``sink=`` dir of Parquet files, so there is no wire framing
+    (octet counting, RELP).
     """
 
     name: str
@@ -297,7 +297,7 @@ def default_decoders() -> dict:
 
 
 def zog_parser(line: str, ts_ns: int):
-    """Example registered user parser (skewer.example.toml:70-80 surface):
+    """Example user parser (skewer.example.toml:70-80 surface):
     "ZOG|app|body" → appname/message, facility local0, severity notice."""
     parts = line.split("|")
     if len(parts) != 3 or parts[0] != "ZOG":
@@ -307,8 +307,6 @@ def zog_parser(line: str, ts_ns: int):
 
 
 def default_config() -> PipelineConfig:
-    from .decoders import register_custom_parser
-    register_custom_parser("zog", zog_parser)
     return PipelineConfig(
         hooks=HookSet(
             topic_fn=default_topic_fn,

@@ -1,13 +1,17 @@
 """Decoder registry — the Ray-side equivalent of decoders/decode.go:19-30.
 
-``get_decoder(cfg)`` returns a block-level callable
+``get_decoder(cfg, parsers)`` returns a block-level callable
 ``f(texts, ts_ns, out: RecordBuilder)``; ParseStage calls it once per
 task, so no parser cache is kept (the reference keys one by murmur3,
 decoders/decode.go:147-172). Custom user parsers (the reference's JS
 ``[[parser]]`` surface, decoders/decode.go:131-145 + javascript/vm.go)
-are Python callables registered by name with
-:func:`register_custom_parser`; they compile/SETUP once per process —
-worker processes get them via the module-level registry.
+are Python callables ``fn(line: str, ts_ns: int) -> dict | None`` held
+by name in the config's ``custom_parsers``; ``get_decoder`` closes over
+the one ``cfg.custom_parser`` names, so two configs with a parser of
+the same name never see each other's. The dict may set any of: pri,
+fac, sev, ver, tr, tg, host, app, proc, msgid, structured, msg, props
+(two-level dict); ``None`` is a decode error, and so is every row of
+a name the config does not hold.
 
 ``get_decoder_vec(cfg)`` returns the format's Arrow fast path, if any
 (``_NATIVE_VEC``): it decodes the rows of a plain shape on Arrow
@@ -19,18 +23,6 @@ from __future__ import annotations
 from .base import DecoderConfig, RecordBuilder
 from . import rfc3164, rfc5424, json_format, gelf, influxdb, w3c, ltsv
 
-_CUSTOM: dict[str, callable] = {}
-
-
-def register_custom_parser(name: str, fn) -> None:
-    """Register a user parser: ``fn(line: str, ts_ns: int) -> dict | None``.
-
-    The dict may set any of: pri, fac, sev, ver, tr, tg, host, app, proc,
-    msgid, structured, msg, props (two-level dict). ``None`` → decode error.
-    """
-    _CUSTOM[name] = fn
-
-
 def _get(d: dict, key: str, default):
     """A user parser's field; a key set to None reads as absent (a null
     time or string would otherwise fail every encoder downstream)."""
@@ -38,11 +30,10 @@ def _get(d: dict, key: str, default):
     return default if v is None else v
 
 
-def _custom_block(name: str):
+def _custom_block(fn):
     from ..schema import props_dumps
 
     def block(texts, ts_ns, out: RecordBuilder, cfg=None):
-        fn = _CUSTOM.get(name)
         for row, (line, n) in enumerate(zip(texts, ts_ns)):
             if not line:
                 continue
@@ -107,14 +98,16 @@ def get_decoder_vec(cfg: DecoderConfig):
     return _NATIVE_VEC.get(cfg.format)
 
 
-def get_decoder(cfg: DecoderConfig):
+def get_decoder(cfg: DecoderConfig, parsers: dict | None = None):
+    """The block decoder for ``cfg``; a ``custom`` format decodes with
+    ``parsers[cfg.custom_parser]``."""
     if cfg.format in _NATIVE:
         return _NATIVE[cfg.format]
     if cfg.format == "custom":
-        return _custom_block(cfg.custom_parser)
+        return _custom_block((parsers or {}).get(cfg.custom_parser))
     raise ValueError(f"unknown decoder format: {cfg.format}")
 
 
 __all__ = [
-    "DecoderConfig", "RecordBuilder", "get_decoder", "register_custom_parser",
+    "DecoderConfig", "RecordBuilder", "get_decoder",
 ]

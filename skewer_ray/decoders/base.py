@@ -23,7 +23,7 @@ class DecoderConfig:
 
     format: str = "rfc3164"
     w3c_fields: str = ""          # space-separated field names (decoders/w3c.go:14-20)
-    custom_parser: str = ""       # registered user-parser name (decoders/decode.go:131-145)
+    custom_parser: str = ""       # user-parser name in custom_parsers (decoders/decode.go:131-145)
 
 
 class RecordBuilder:

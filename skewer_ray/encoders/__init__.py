@@ -274,33 +274,6 @@ def encode_fulljsonavro(rec: dict) -> str | None:
     return f(rec)
 
 
-# Encoders whose string output carries raw bytes latin-1-mapped (one
-# codepoint per byte); wire lengths for these count CODEPOINTS, not
-# UTF-8 storage bytes (ADVICE r02 fanout finding).
-BINARY_ENCODERS = frozenset({"protobuf", "avro", "fullavro"})
-
-
-def frame_octet(payload: str, binary: bool = False) -> str:
-    """TcpOctetEncode (encoders/encoder.go:139-157): ``<len> <data>``
-    with len = wire BYTE length: utf-8 bytes for text encoders;
-    codepoints (= latin-1-carried raw bytes) when ``binary``."""
-    if not payload:
-        return ""
-    n = len(payload) if binary else len(payload.encode("utf-8"))
-    return f"{n} {payload}"
-
-
-def frame_relp(txnr: int, command: str, payload: str,
-               binary: bool = False) -> str:
-    """RELPEncode (encoders/encoder.go:159-178):
-    ``<txnr> <command> <len> <data>\\n``; empty payload → len 0, no
-    data. ``binary`` as in frame_octet."""
-    if not payload:
-        return f"{txnr} {command} 0\n"
-    n = len(payload) if binary else len(payload.encode("utf-8"))
-    return f"{txnr} {command} {n} {payload}\n"
-
-
 ENCODERS = {
     "rfc5424": encode_rfc5424,
     "rfc3164": encode_rfc3164,

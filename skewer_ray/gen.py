@@ -283,20 +283,21 @@ def ensure_transcripts(sf_dir: str) -> str:
 
 
 SCALED_EVENTS_BASE = "/root/testdata/sf0.1"
+SCALED_EVENTS_FACTOR = 5
 
 
-def ensure_scaled_events(factor: int = 5) -> str:
+def ensure_scaled_events() -> str:
     """Deterministic larger-scale events table for benchmarks: the base
-    sf0.1 stream tiled ``factor``× with DISJOINT user_id / event_id
-    ranges (ts untouched). Per-user history shapes are preserved
-    exactly while the user count — the axis the bucketed event
-    operators shuffle and segment on — grows ``factor``×, which is the
-    honest scaling test for them (bigger per-user groups would instead
-    test the whale-user caveat). factor=5 over sf0.1 ≈ sf0.5.
+    sf0.1 stream tiled ``SCALED_EVENTS_FACTOR``× with DISJOINT user_id /
+    event_id ranges (ts untouched). Per-user history shapes are
+    preserved exactly while the user count — the axis the bucketed
+    event operators shuffle and segment on — grows by the factor, which
+    is the honest scaling test for them (bigger per-user groups would
+    instead test the whale-user caveat). 5× over sf0.1 ≈ sf0.5.
 
     Returns a directory containing events.parquet, matching the
     ``{sf_dir}/events.parquet`` layout the event queries read."""
-    name = f"sf0.1x{factor}"
+    name = f"sf0.1x{SCALED_EVENTS_FACTOR}"
     out_dir = os.path.join(DATA_ROOT, name)
     done = os.path.join(out_dir, "_EVENTS_DONE")
     if os.path.exists(done):
@@ -306,7 +307,7 @@ def ensure_scaled_events(factor: int = 5) -> str:
     uid_span = int(pc_.max(t["user_id"]).as_py()) + 1
     eid_span = int(pc_.max(t["event_id"]).as_py()) + 1
     tiles = []
-    for k in range(factor):
+    for k in range(SCALED_EVENTS_FACTOR):
         tiles.append(t.set_column(
             t.schema.get_field_index("user_id"), "user_id",
             pc_.add(pc_.cast(t["user_id"], pa.int64()), k * uid_span)

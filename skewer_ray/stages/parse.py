@@ -15,7 +15,7 @@ depend on which rows took the fast path. The output is families in
 ascending order, one contiguous table per batch.
 
 A callable class so decoder construction (registry lookup,
-custom-parser compilation) happens once per task, not once per batch:
+custom-parser binding) happens once per task, not once per batch:
 the fused task-pool chain (stages/fused.py) builds it once per task
 and reuses it across that task's batches.
 """
@@ -26,7 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..decoders import DecoderConfig, RecordBuilder, get_decoder
+from ..decoders import (DecoderConfig, RecordBuilder, get_decoder,
+                        get_decoder_vec)
 from ..gen import N_FAMILIES
 from ..schema import RECORD_SCHEMA
 
@@ -44,20 +45,17 @@ class ParseStage:
     def __init__(self, decoder_for_family: dict[int, DecoderConfig] | None = None,
                  single: DecoderConfig | None = None,
                  custom_parsers: dict | None = None):
-        # user parsers are registered HERE (once per task) — the
-        # equivalent of compiling JS parser funcs per VM-pool entry
-        # (decoders/decode.go:85-99); cloudpickle ships the callables.
-        if custom_parsers:
-            from ..decoders import register_custom_parser
-            for name, fn in custom_parsers.items():
-                register_custom_parser(name, fn)
         self.single = single is not None
         if single is not None:
             self.cfgs = {f: single for f in range(N_FAMILIES)}
         else:
             self.cfgs = dict(decoder_for_family or {})
-        from ..decoders import get_decoder_vec
-        self.decoders = {f: (get_decoder(c), c, get_decoder_vec(c))
+        # a custom family's decoder closes over this config's user
+        # parser, bound once per task — the equivalent of compiling JS
+        # parser funcs per VM-pool entry (decoders/decode.go:85-99);
+        # cloudpickle ships the callables.
+        self.decoders = {f: (get_decoder(c, custom_parsers), c,
+                             get_decoder_vec(c))
                          for f, c in self.cfgs.items()}
         # families without a configured source decode with the FIRST
         # configured section — the "format=auto" catch-all listener

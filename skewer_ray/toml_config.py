@@ -37,8 +37,9 @@ Mapping:
   is null there (Python could raise), or for the whole batch when the
   batch lacks such a field or holds it with another type; so batch and
   per-row forms agree on every row (tests/test_route.py).
-- ``[[parser]]`` → named custom parser registered for ``format = name``
-  sections (decoders/decode.go:131-145).
+- ``[[parser]]`` → named custom parser in the config's
+  ``custom_parsers``, for ``format = name`` sections
+  (decoders/decode.go:131-145).
 - ``[kafka]`` / ``[file_destination]`` / ``[stderr]``-style dest
   sections → SinkConfigs (``dest_format`` chooses the encoder,
   conf/defaults.go; kafka defaults on).
@@ -73,7 +74,7 @@ from .config import (HookSet, PipelineConfig, SinkConfig, finalize_topics,
                      render_template_batch, str_upper, template_pieces)
 from .constants import (FILTER_DROPPED, FILTER_ERROR, FILTER_PASS,
                         FILTER_REJECTED)
-from .decoders import DecoderConfig, register_custom_parser
+from .decoders import DecoderConfig
 from .stages.route import _HOOK_COLS, _MUTABLE, LazyCols, Row
 
 # Go template field → record column (model/types.go:443-449 names)
@@ -682,7 +683,6 @@ def config_from_toml(text_or_path: str) -> PipelineConfig:
     for p in data.get("parser", []):
         name = p["name"]
         custom_parsers[name] = _parser_fn(p["func"], name)
-        register_custom_parser(name, custom_parsers[name])
 
     hookset = functools.cache(_hookset)    # per config, not per process
     decoder_for_family: dict[int, DecoderConfig] = {}

@@ -6,14 +6,13 @@ import json
 import pytest
 
 from skewer_ray.decoders import DecoderConfig, RecordBuilder, get_decoder
-from skewer_ray.decoders import register_custom_parser
 
 TS = 1768435200 * 1_000_000_000  # 2026-01-15T00:00:00Z
 
 
-def decode(fmt: str, line: str, **cfg):
+def decode(fmt: str, line: str, parsers=None, **cfg):
     out = RecordBuilder()
-    dec = get_decoder(DecoderConfig(format=fmt, **cfg))
+    dec = get_decoder(DecoderConfig(format=fmt, **cfg), parsers)
     dec([line], [TS], out, DecoderConfig(format=fmt, **cfg))
     recs = []
     for i in range(len(out)):
@@ -21,8 +20,8 @@ def decode(fmt: str, line: str, **cfg):
     return recs
 
 
-def one(fmt, line, **cfg):
-    recs = decode(fmt, line, **cfg)
+def one(fmt, line, parsers=None, **cfg):
+    recs = decode(fmt, line, parsers, **cfg)
     assert len(recs) == 1, recs
     return recs[0]
 
@@ -290,13 +289,40 @@ def test_ltsv_real():
 
 
 def test_custom_parser():
-    register_custom_parser("zog_t", lambda line, ts: (
+    parsers = {"zog_t": lambda line, ts: (
         {"app": line.split("|")[1], "msg": line.split("|")[2]}
-        if line.startswith("ZOG|") else None))
-    r = one("custom", "ZOG|a|b", custom_parser="zog_t")
+        if line.startswith("ZOG|") else None)}
+    r = one("custom", "ZOG|a|b", parsers, custom_parser="zog_t")
     assert r["appname"] == "a" and r["message"] == "b"
-    r = one("custom", "nope", custom_parser="zog_t")
+    r = one("custom", "nope", parsers, custom_parser="zog_t")
     assert not r["parse_ok"]
+    # a name the given parsers do not hold decodes every row as an error
+    r = one("custom", "ZOG|a|b", {}, custom_parser="zog_t")
+    assert not r["parse_ok"]
+
+
+def test_custom_parser_is_the_configs_own():
+    """Two configs with a [[parser]] of the same name: each config's
+    ParseStage decodes with its own parser, whichever was built last."""
+    import pyarrow as pa
+
+    from skewer_ray.stages import ParseStage
+    from skewer_ray.toml_config import config_from_toml
+
+    def toml(app):
+        return ('[[parser]]\nname = "P"\nfunc = """\ndef P(raw):\n'
+                '    m = NewEmptySyslogMessage()\n'
+                f'    m.Appname = "{app}"\n'
+                '    return m\n"""\n[[syslog]]\nformat = "P"\n')
+
+    a, b = config_from_toml(toml("from-a")), config_from_toml(toml("from-b"))
+    stages = [ParseStage(decoder_for_family=c.decoder_for_family,
+                         custom_parsers=c.custom_parsers) for c in (a, b)]
+    tbl = pa.table({"conv_id": ["conv-00000000"], "turn_idx": [0],
+                    "role": ["user"], "text": ["hello"], "tool": [""],
+                    "ts": pa.array([0], pa.timestamp("us"))})
+    assert [s(tbl)["appname"].to_pylist() for s in stages] == \
+        [["from-a"], ["from-b"]]
 
 
 def test_custom_parser_none_reads_as_absent():

@@ -295,29 +295,6 @@ def test_protowire_golden_bytes():
         encode_syslog_message(rneg))["time_reported"] == -5
 
 
-def test_framing_encoders():
-    """Octet-counted and RELP frames (encoders/encoder.go:139-178), as
-    the client sinks write them: lengths count utf-8 BYTES."""
-    from skewer_ray.encoders import frame_octet, frame_relp
-
-    assert frame_octet("abc") == "3 abc"
-    assert frame_octet("é") == "2 é"          # utf-8 bytes, not chars
-    assert frame_octet("") == ""
-    assert frame_relp(7, "syslog", "hello") == "7 syslog 5 hello\n"
-    assert frame_relp(8, "syslog", "") == "8 syslog 0\n"
-
-    # BINARY encoders carry latin-1 bytes: the octet count is the raw
-    # byte count (codepoints), not the inflated UTF-8 storage length
-    # (ADVICE r02) — round-trip through latin-1 restores a valid frame
-    raw = b"\x08\x96\x01\xff\x80"              # protobuf-ish wire bytes
-    carried = raw.decode("latin-1")
-    framed = frame_octet(carried, binary=True)
-    assert framed == f"{len(raw)} {carried}"
-    assert framed.encode("latin-1") == b"5 " + raw
-    rf = frame_relp(3, "syslog", carried, binary=True)
-    assert rf.encode("latin-1") == b"3 syslog 5 " + raw + b"\n"
-
-
 def test_fanout_per_row_fallbacks_match_row_encoders():
     """Formats without a vectorized encoder and templates with format
     specs go through the per-row fallback: every passing row's bytes,

@@ -29,7 +29,8 @@ def fanout_table():
     t = generate_table(N)
     r = RouterStage(cfg.hooks)(
         EnrichStage(cfg.role_lookup, cfg.tool_lookup)(
-            ParseStage(cfg.decoder_for_family)(t)))
+            ParseStage(cfg.decoder_for_family,
+                       custom_parsers=cfg.custom_parsers)(t)))
     return t, FanoutEncodeStage(cfg.sinks)(r)
 
 

@@ -9,10 +9,16 @@ docstring still counts as a use, so the check is a lower bound on
 test-only code; it never flags a name a run reaches.
 
 The same holds for parameters: every defaulted parameter of a ``def``
-in ``skewer_ray/`` must be passed by some call in those files, or it is
-a constant dressed as an option. Calls match the callee by bare name
-(``f(...)`` and ``x.f(...)`` both match every ``def f``), so this too is
-a lower bound on never-set parameters."""
+in ``skewer_ray/``, ``bench.py``, ``tools/*.py`` or ``__ray_entry__.py``
+must be passed by some call in those files, or it is a constant dressed
+as an option. Calls match the callee by bare name (``f(...)`` and
+``x.f(...)`` both match every ``def f``), so this too is a lower bound
+on never-set parameters.
+
+Memory that grows with the corpus is vetted too: each unbounded driver
+pull (``take_all()`` without a limit) and each per-group UDF
+(``map_groups``) in ``skewer_ray/`` sits in ``COLLECTS`` with the reason
+its structure stays bounded."""
 
 from __future__ import annotations
 
@@ -27,16 +33,10 @@ PACKAGE = ROOT / "skewer_ray"
 
 # names only tests use today, each with its reason
 ALLOWED = {
-    "TcpClientSink": "client sink, waiting for a deliver step",
-    "RelpClientSink": "client sink, waiting for a deliver step",
-    "GraylogClientSink": "client sink, waiting for a deliver step",
-    "NatsClientSink": "client sink, waiting for a deliver step",
-    "RedisClientSink": "client sink, waiting for a deliver step",
     "decode_fullavro": "test oracle: reads back the fullavro encoder",
     "bulk_ack_statuses": "test oracle: folds a simulated bulk exchange",
     "read_encrypted": "reader that checks an encrypted partition",
     "generate_skew_table": "skew fixture generator for the skew tests",
-    "HttpClientSink": "client sink, waiting for a deliver step",
 }
 
 
@@ -158,8 +158,9 @@ def _calls_and_values(files):
     return calls, values
 
 
-def _package_defs():
-    """(path, enclosing class or None, def) for every def in the package."""
+def _guarded_defs():
+    """(path, enclosing class or None, def) for every def in the
+    package and in the scripts a run starts from."""
     def walk(path, node, cls):
         for ch in ast.iter_child_nodes(node):
             if isinstance(ch, ast.ClassDef):
@@ -169,7 +170,9 @@ def _package_defs():
                 yield from walk(path, ch, None)
             else:
                 yield from walk(path, ch, cls)
-    for path in sorted(PACKAGE.rglob("*.py")):
+    scripts = sorted((ROOT / "tools").glob("*.py")) + [
+        ROOT / "bench.py", ROOT / "__ray_entry__.py"]
+    for path in sorted(PACKAGE.rglob("*.py")) + scripts:
         yield from walk(path, ast.parse(path.read_text()), None)
 
 
@@ -207,11 +210,11 @@ def _sets(call: ast.Call, param: str, pos, default: str) -> bool:
 def test_every_parameter_is_set_outside_tests():
     """Never-set defaulted parameters are exactly ``SEAMS``: a new one
     fails, and so does a seam that a run now sets (or that is gone).
-    A constructor is matched through its class name; the client sinks
-    and test oracles in ``ALLOWED`` are skipped with their classes."""
+    A constructor is matched through its class name; the test oracles
+    in ``ALLOWED`` are skipped."""
     calls, values = _calls_and_values(_search_files())
     unset = {}
-    for path, cls, fn in _package_defs():
+    for path, cls, fn in _guarded_defs():
         ctor = cls is not None and fn.name == "__init__"
         name = cls if ctor else fn.name
         if cls in ALLOWED or name in ALLOWED or name in values:
@@ -231,3 +234,52 @@ def test_every_parameter_is_set_outside_tests():
         "\n".join(extra)
     assert set(unset) == set(SEAMS), \
         f"allowlisted but set or gone: {sorted(set(SEAMS) - set(unset))}"
+
+
+# unbounded driver pulls and per-group UDFs per file, each with the
+# reason its structure does not grow with the corpus
+COLLECTS = {
+    "functions/similarity.py": (
+        7, "query-sized: the |Q| query rows and labels, |Q|*k or |Q|*m "
+           "candidates, and per-block partial sums per label"),
+    "functions/curation.py": (
+        4, "map_groups over fixed hash buckets, per-source top-k "
+           "partials or quality levels, each group sorted alone"),
+    "functions/dedup.py": (
+        4, "map_groups over LSH bands' buckets; the driver pulls the "
+           "pair graph only below small_graph_max edges"),
+    "functions/decontam.py": (
+        2, "the benchmark slice's shingles and positions, not the "
+           "corpus's"),
+    "pipelines/corpus.py": (
+        2, "at most k rows per block; the bigram LM grows with the "
+           "vocabulary (ROADMAP direction 4)"),
+    "stages/buckets.py": (
+        1, "grouped_by_bucket: a fixed number of hash buckets"),
+    "functions/sketches.py": (1, "at most KMV_K hashes per block"),
+    "functions/textstats.py": (1, "three sums per (lang, block)"),
+    "functions/windows.py": (
+        1, "map_groups over fixed time buckets, per-type sums out"),
+    "pipelines/queries.py": (1, "the distinct roles per block"),
+}
+
+
+def _collects(path: Path) -> int:
+    """``take_all()`` calls with no limit and ``map_groups`` calls."""
+    n = 0
+    for c in ast.walk(ast.parse(path.read_text())):
+        if isinstance(c, ast.Call):
+            name = _bare(c.func)
+            n += name == "map_groups" or (
+                name == "take_all" and not c.args and not c.keywords)
+    return n
+
+
+def test_every_collect_is_vetted():
+    """The per-file counts equal ``COLLECTS``: a new site fails until
+    it is vetted, and a file whose sites went must leave the list."""
+    counts = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if n := _collects(path):
+            counts[path.relative_to(PACKAGE).as_posix()] = n
+    assert counts == {f: n for f, (n, _) in COLLECTS.items()}
