@@ -18,7 +18,11 @@ Safety model:
   ``recover()`` (run automatically by ``compact_output``) restores the
   original from the ``_old`` dir on the next invocation;
 - content (row multiset and schema) is unchanged, so lineage manifests
-  that count rows stay valid.
+  that count rows stay valid;
+- the rewrite uses the sink output's own write options
+  (``manifest.SINK_PARQUET_OPTIONS``: zstd, delta-encoded keys, plain
+  payloads), so a compacted leaf is no larger than the fragments it
+  replaces.
 
 Row-group-sized batches stream through — the partition is never fully
 in memory.
@@ -32,6 +36,8 @@ import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from .manifest import SINK_PARQUET_OPTIONS
 
 TARGET_ROWS = 1_000_000
 
@@ -98,7 +104,7 @@ def compact_dir(leaf: str, target_rows: int = TARGET_ROWS) -> dict:
                 if writer is None:
                     writer = pq.ParquetWriter(
                         os.path.join(tmp, f"compact-{out_idx:05d}.parquet"),
-                        pf.schema_arrow)
+                        pf.schema_arrow, **SINK_PARQUET_OPTIONS)
                 writer.write_table(pa.Table.from_batches([batch]))
                 out_rows += batch.num_rows
                 if out_rows >= target_rows:

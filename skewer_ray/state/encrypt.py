@@ -15,7 +15,8 @@ wrapping under a secret, and clearly marked as the place a production
 deployment plugs its KMS).
 
 Shape: encryption is a per-file rewrite (read plain → write encrypted
-→ atomic rename), walked over the hive data dir — embarrassingly
+→ atomic rename, with the sink output's own write options), walked over
+the hive data dirs of the run and of every retry attempt — embarrassingly
 parallel and resumable (encrypted files are detected by footer magic
 and skipped), run AFTER partitions are manifested, exactly like the
 reference encrypts at the storage layer, not in the pipeline.
@@ -24,12 +25,15 @@ reference encrypts at the storage layer, not in the pipeline.
 from __future__ import annotations
 
 import datetime
+import glob
 import hashlib
 import hmac
 import os
 import secrets as _secrets
 
 import pyarrow.parquet as pq
+
+from .manifest import SINK_PARQUET_OPTIONS
 
 _CACHE_TD = datetime.timedelta(minutes=10)
 
@@ -122,25 +126,27 @@ def read_encrypted(path: str, secret: bytes):
 
 
 def encrypt_output(out_dir: str, secret: bytes) -> dict:
-    """Encrypt every plain parquet file under ``out_dir``/data in
-    place (write-encrypted + atomic rename). Idempotent: already-
-    encrypted files are skipped, so a killed run resumes. Returns
-    {"encrypted": n, "skipped": n}."""
-    data_dir = os.path.join(out_dir, "data")
+    """Encrypt every plain parquet file under ``out_dir``/data and each
+    retry attempt's ``retries/<nnn>/data`` in place (write-encrypted
+    with the sink output's write options + atomic rename). Idempotent:
+    already-encrypted files are skipped, so a killed run resumes.
+    Returns {"encrypted": n, "skipped": n}."""
     n_enc = n_skip = 0
-    for root, _dirs, files in os.walk(data_dir):
-        for f in sorted(files):
-            if not f.endswith(".parquet"):
-                continue
-            p = os.path.join(root, f)
-            if is_encrypted(p):
-                n_skip += 1
-                continue
-            t = pq.read_table(p)
-            tmp = p + ".enc.tmp"
-            pq.write_table(t, tmp,
-                           encryption_properties=encryption_properties(
-                               secret, t.column_names))
-            os.replace(tmp, p)
-            n_enc += 1
+    for data_dir in [os.path.join(out_dir, "data")] + sorted(
+            glob.glob(os.path.join(out_dir, "retries", "*", "data"))):
+        for root, _dirs, files in os.walk(data_dir):
+            for f in sorted(files):
+                if not f.endswith(".parquet"):
+                    continue
+                p = os.path.join(root, f)
+                if is_encrypted(p):
+                    n_skip += 1
+                    continue
+                t = pq.read_table(p)
+                tmp = p + ".enc.tmp"
+                pq.write_table(t, tmp, **SINK_PARQUET_OPTIONS,
+                               encryption_properties=encryption_properties(
+                                   secret, t.column_names))
+                os.replace(tmp, p)
+                n_enc += 1
     return {"encrypted": n_enc, "skipped": n_skip}

@@ -493,6 +493,30 @@ def test_input_dir_named_like_a_scale_factor_is_read_as_given(
     assert sum(m.n_in for m in load_manifests(out).values()) == 100
 
 
+def test_percent_encoded_route_is_counted_under_its_own_name(
+        tmp_path, ray_session):
+    """The writer percent-encodes a hive value (``café`` is written as
+    ``route=caf%C3%A9_...``); the lineage counts and sink_counts.json
+    name the route the fan-out gave, not the dir's spelling."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    t = pq.read_table(ensure_transcripts("/root/testdata/sf0.001"))
+    row = t.filter(pc.equal(t["conv_id"], "conv-00000002")).slice(0, 1)
+    row = row.set_column(row.schema.get_field_index("text"), "text",
+                         pa.array(["<13>Jan 15 10:00:00 host café[12]: hi"]))
+    d = tmp_path / "in"
+    d.mkdir()
+    pq.write_table(row, d / "part-0.parquet")
+    out = str(tmp_path / "out")
+    run_partitioned(str(d), out)
+    assert os.path.isdir(os.path.join(
+        out, "data", "group=0", "sink=file", "status=passing",
+        "route=caf%C3%A9_2026-01-15"))
+    assert {"sink": "file", "status": "passing",
+            "route": "café_2026-01-15", "n": 1} in _sink_counts(out)
+    assert load_manifests(out)[0].counts["file/passing/café_2026-01-15"] == 1
+
+
 def test_compaction_preserves_content(ray_session, tmp_path):
     """Compacting a fragmented hive leaf reduces file count and leaves
     the row multiset and schema byte-identical; single-file leaves are
@@ -555,6 +579,76 @@ def test_compaction_recovery_and_hidden_scratch(ray_session, tmp_path):
     assert reports[0]["files_after"] == 1
     assert pq.read_table(str(leaf)).sort_by("uid")["n"].to_pylist() \
         == [0, 1, 2]
+
+
+def _assert_sink_encoding(md) -> None:
+    """A sink output footer: zstd everywhere, delta-encoded keys and an
+    ``encoded`` column without a dictionary page."""
+    for g in range(md.num_row_groups):
+        rg = md.row_group(g)
+        cols = {rg.column(i).path_in_schema: rg.column(i)
+                for i in range(rg.num_columns)}
+        assert {c.compression for c in cols.values()} == {"ZSTD"}
+        for k in ("uid", "conv_id"):
+            assert "DELTA_BYTE_ARRAY" in cols[k].encodings
+        assert not cols["encoded"].has_dictionary_page
+
+
+def test_sink_output_encoding_survives_compaction_and_encryption(
+        tmp_path, ray_session):
+    """Every writer of sink output (the group write, compaction and
+    encryption) writes zstd with delta-encoded ``uid``/``conv_id`` and
+    a plain ``encoded``: compaction keeps each leaf's rows and does not
+    grow its bytes, and encryption keeps the codec."""
+    import pyarrow as pa
+
+    from skewer_ray.state.compact import compact_output, leaf_dirs
+    from skewer_ray.state.encrypt import (decryption_properties,
+                                          encrypt_output)
+    t = pq.read_table(ensure_transcripts("/root/testdata/sf0.001"))
+    d = tmp_path / "in"
+    d.mkdir()
+    for k in range(4):      # > min_rows_per_file: leaves of 2 files
+        pq.write_table(t, d / f"part-{k}.parquet")
+    out = str(tmp_path / "out")
+    run_partitioned(str(d), out)
+    retry_rejected(out, hooks=_accept_all())
+
+    def leaves():
+        return {leaf: [os.path.join(leaf, f) for f in os.listdir(leaf)
+                       if f.endswith(".parquet")]
+                for leaf in leaf_dirs(out)}
+
+    def rows(files):
+        got = pa.concat_tables(pq.ParquetFile(f).read() for f in files)
+        return got.sort_by([(c, "ascending") for c in got.column_names])
+
+    before = leaves()
+    assert any("/retries/000/" in leaf for leaf in before)
+    assert max(len(fs) for fs in before.values()) >= 2
+    for fs in before.values():
+        for f in fs:
+            _assert_sink_encoding(pq.ParquetFile(f).metadata)
+    content = {leaf: rows(fs) for leaf, fs in before.items()}
+    size = sum(os.path.getsize(f) for fs in before.values() for f in fs)
+
+    compact_output(out)
+    after = leaves()
+    assert after.keys() == before.keys()
+    assert sum(os.path.getsize(f) for fs in after.values()
+               for f in fs) <= 1.1 * size
+    for leaf, fs in after.items():
+        assert rows(fs).equals(content[leaf])
+        for f in fs:
+            _assert_sink_encoding(pq.ParquetFile(f).metadata)
+
+    secret = b"skewer-master-secret"
+    encrypt_output(out, secret)
+    for fs in after.values():
+        for f in fs:
+            _assert_sink_encoding(pq.ParquetFile(
+                f, decryption_properties=decryption_properties(
+                    secret)).metadata)
 
 
 def test_prometheus_metrics_export(tmp_path):
@@ -873,9 +967,10 @@ def test_cli_watch_url_flag(monkeypatch, capsys):
 def test_encrypt_output_roundtrip_and_refusal(
         small_input, tmp_path, ray_session):
     """At-rest encryption (the encrypted-store analogue): after
-    encrypt_output, every data file refuses a plain read, decrypts
-    byte-identically under the right secret, rejects a wrong secret,
-    and a second pass is an idempotent no-op."""
+    encrypt_output, every data file of the run and of its retry
+    attempts refuses a plain read, decrypts byte-identically under the
+    right secret, rejects a wrong secret, and a second pass is an
+    idempotent no-op."""
     import pyarrow as pa
     import pytest as _pytest
 
@@ -884,11 +979,12 @@ def test_encrypt_output_roundtrip_and_refusal(
 
     out = str(tmp_path / "out")
     run_partitioned(small_input, out)
+    retry_rejected(out)           # default filter: rejected again
     files = sorted(
         os.path.join(r, f)
-        for r, _d, fs in os.walk(os.path.join(out, "data"))
+        for r, _d, fs in os.walk(out)
         for f in fs if f.endswith(".parquet"))
-    assert files
+    assert any("/retries/000/data/" in p for p in files)
     plain = {p: pq.read_table(p) for p in files}
 
     secret = b"skewer-master-secret"
@@ -907,3 +1003,4 @@ def test_encrypt_output_roundtrip_and_refusal(
     # idempotent resume: nothing re-encrypted
     rep2 = encrypt_output(out, secret)
     assert rep2 == {"encrypted": 0, "skipped": len(files)}
+
