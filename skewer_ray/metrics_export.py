@@ -6,7 +6,7 @@ writes the one metrics artifact,
 ``<out_dir>/metrics/sink_counts.json``: a JSON list of
 ``{"sink", "status", "route", "n"}`` records sorted by
 (sink, status, route), summed over every lineage manifest (each file's
-counts come from the rows written for it).
+counts are the rows the write tasks wrote for it, as they report them).
 
 The reference serves live counters over HTTP ``/metrics``
 (metrics/metrics.go:38-75; counter families skw_incoming_messages_total
@@ -33,16 +33,13 @@ def _esc(v: str) -> str:
     return v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def write_sink_counts(out_dir: str, counts: dict[tuple, int]):
-    """Write ``metrics/sink_counts.json`` from {(sink, status, route): n};
-    returns the same records as a pandas DataFrame."""
-    import pandas as pd
-    df = pd.DataFrame([(*k, n) for k, n in sorted(counts.items())],
-                      columns=["sink", "status", "route", "n"])
+def write_sink_counts(out_dir: str, counts: dict[tuple, int]) -> None:
+    """Write ``metrics/sink_counts.json`` from {(sink, status, route): n}."""
     os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
-    df.to_json(os.path.join(out_dir, "metrics", "sink_counts.json"),
-               orient="records")
-    return df
+    with open(os.path.join(out_dir, "metrics", "sink_counts.json"),
+              "w") as fh:
+        json.dump([{"sink": s, "status": st, "route": r, "n": n}
+                   for (s, st, r), n in sorted(counts.items())], fh)
 
 
 def render_prometheus(out_dir: str) -> str:

@@ -21,8 +21,9 @@ Scale notes:
 - every run writes through state/manifest.run_partitioned: one group
   dir per run, ``data/group=<g>/sink=<s>/status=<st>/route=<r>/``, with
   ``part_id`` a data column and one lineage manifest per input file;
-- metrics come from the written bytes (per-file counts streamed over
-  the ``part_id`` column), not from the in-flight stream.
+- per-file counts come from the write tasks: each returns its rows per
+  (part_id, sink, status, route) once its files are written, so the
+  driver reads no written file back.
 """
 
 from __future__ import annotations

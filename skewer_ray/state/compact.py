@@ -3,10 +3,10 @@
 Long-running resumable jobs (state/manifest.run_partitioned, the
 hive-partitioned fan-out sinks) accumulate many small files: each run
 or restart writes its new input files as one more ``group=<g>`` tree,
-with one file per write task in each of its leaves. At 100 TB the file COUNT becomes its own
-bottleneck — listing, footer reads and downstream `read_parquet`
-task-per-fragment scheduling all scale with it. Compaction rewrites a
-leaf directory's fragments into ~``target_rows``-row files.
+with one file per write task in each leaf. At 100 TB the file COUNT
+becomes its own bottleneck (listing, footer reads, task-per-fragment
+scheduling of `read_parquet`); compaction rewrites a leaf's fragments
+into ~``target_rows``-row files.
 
 Safety model:
 - scratch dirs are siblings named ``_compact-…`` / ``_old-…`` — the
@@ -30,6 +30,7 @@ in memory.
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 import uuid
@@ -128,9 +129,11 @@ def compact_dir(leaf: str, target_rows: int = TARGET_ROWS) -> dict:
 
 
 def compact_output(root: str, target_rows: int = TARGET_ROWS) -> list[dict]:
-    """Compact every hive leaf under ``root`` (after crash recovery).
-    Driver-side loop over leaves; each leaf rewrite is independent, so
-    at real scale the leaves fan out as Ray tasks — the per-leaf
-    function is pure."""
+    """Compact every hive leaf under ``root`` (after crash recovery); an
+    encrypted file under ``root`` raises a ValueError before any rewrite."""
+    from .encrypt import refuse_encrypted
     recover(root)
+    for f in sorted(glob.glob(os.path.join(root, "**", "*.parquet"),
+                              recursive=True)):
+        refuse_encrypted(f)
     return [compact_dir(d, target_rows) for d in leaf_dirs(root)]

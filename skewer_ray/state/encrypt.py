@@ -14,16 +14,16 @@ with a random nonce, authenticated by HMAC — adequate for key
 wrapping under a secret, and clearly marked as the place a production
 deployment plugs its KMS).
 
-Shape: encryption is a per-file rewrite (read plain → write encrypted
-→ atomic rename, with the sink output's own write options), walked over
-the hive data dirs of the run and of every retry attempt — embarrassingly
-parallel and resumable (encrypted files are detected by footer magic
-and skipped), run AFTER partitions are manifested, exactly like the
-reference encrypts at the storage layer, not in the pipeline.
+Shape: a per-file rewrite (read plain → write encrypted with the sink
+output's own write options → atomic rename) over the data dirs of the
+run and of every retry attempt, resumable since encrypted files are
+detected by footer magic and skipped. It runs last: retry and
+compaction read plain Parquet and refuse an encrypted file.
 """
 
 from __future__ import annotations
 
+import base64
 import datetime
 import glob
 import hashlib
@@ -32,6 +32,7 @@ import os
 import secrets as _secrets
 
 import pyarrow.parquet as pq
+import pyarrow.parquet.encryption as pe
 
 from .manifest import SINK_PARQUET_OPTIONS
 
@@ -48,51 +49,41 @@ def _keystream(secret: bytes, label: bytes, n: int) -> bytes:
     return out[:n]
 
 
-class LocalKeyring:
+class LocalKeyring(pe.KmsClient):
     """KmsClient wrapping parquet data keys under a master secret."""
 
-    def __new__(cls, secret: bytes):
-        import pyarrow.parquet.encryption as pe
+    def __init__(self, secret: bytes):
+        super().__init__()
+        self.secret = secret
 
-        class _Client(pe.KmsClient):
-            def __init__(self):
-                super().__init__()
+    def wrap_key(self, key: bytes, master_id: str) -> bytes:
+        nonce = _secrets.token_bytes(16)
+        body = bytes(a ^ b for a, b in zip(
+            key, _keystream(self.secret, master_id.encode() + nonce,
+                            len(key))))
+        mac = hmac.new(self.secret, nonce + body,
+                       hashlib.sha256).digest()[:16]
+        # parquet stores key metadata as UTF-8 → base64 the blob
+        return base64.b64encode(nonce + mac + body)
 
-            def wrap_key(self, key: bytes, master_id: str) -> bytes:
-                nonce = _secrets.token_bytes(16)
-                body = bytes(a ^ b for a, b in zip(
-                    key, _keystream(secret, master_id.encode() + nonce,
-                                    len(key))))
-                mac = hmac.new(secret, nonce + body,
-                               hashlib.sha256).digest()[:16]
-                # parquet stores key metadata as UTF-8 → base64 the blob
-                import base64
-                return base64.b64encode(nonce + mac + body)
-
-            def unwrap_key(self, wrapped: bytes, master_id: str) -> bytes:
-                import base64
-                wrapped = base64.b64decode(wrapped)
-                nonce, mac, body = (wrapped[:16], wrapped[16:32],
-                                    wrapped[32:])
-                want = hmac.new(secret, nonce + body,
-                                hashlib.sha256).digest()[:16]
-                if not hmac.compare_digest(mac, want):
-                    raise ValueError("key unwrap failed: wrong master "
-                                     "secret or corrupt key material")
-                return bytes(a ^ b for a, b in zip(
-                    body, _keystream(secret, master_id.encode() + nonce,
-                                     len(body))))
-
-        return _Client()
+    def unwrap_key(self, wrapped: bytes, master_id: str) -> bytes:
+        wrapped = base64.b64decode(wrapped)
+        nonce, mac, body = wrapped[:16], wrapped[16:32], wrapped[32:]
+        want = hmac.new(self.secret, nonce + body,
+                        hashlib.sha256).digest()[:16]
+        if not hmac.compare_digest(mac, want):
+            raise ValueError("key unwrap failed: wrong master "
+                             "secret or corrupt key material")
+        return bytes(a ^ b for a, b in zip(
+            body, _keystream(self.secret, master_id.encode() + nonce,
+                             len(body))))
 
 
 def _factory(secret: bytes):
-    import pyarrow.parquet.encryption as pe
     return pe.CryptoFactory(lambda cfg: LocalKeyring(secret))
 
 
 def encryption_properties(secret: bytes, columns: list[str]):
-    import pyarrow.parquet.encryption as pe
     f = _factory(secret)
     cfg = pe.EncryptionConfiguration(
         footer_key="skewer-footer",
@@ -106,7 +97,6 @@ def encryption_properties(secret: bytes, columns: list[str]):
 
 
 def decryption_properties(secret: bytes):
-    import pyarrow.parquet.encryption as pe
     f = _factory(secret)
     return f.file_decryption_properties(
         pe.KmsConnectionConfig(),
@@ -118,6 +108,14 @@ def is_encrypted(path: str) -> bool:
     with open(path, "rb") as fh:
         fh.seek(-4, os.SEEK_END)
         return fh.read(4) == b"PARE"
+
+
+def refuse_encrypted(path: str) -> None:
+    """Raise ValueError if ``path`` is encrypted: retry and compaction
+    read plain Parquet, so they run before :func:`encrypt_output`."""
+    if is_encrypted(path):
+        raise ValueError(f"{path} is encrypted: retry or compact an out "
+                         "dir before encrypting it")
 
 
 def read_encrypted(path: str, secret: bytes):

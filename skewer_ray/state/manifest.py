@@ -5,23 +5,21 @@ in :func:`_write_group`).
 
 The reference's durable store tracks each message through
 ready → sent → {deleted(ACK), failed(NACK), permerrors} per destination
-(store/store.go:141-192, 1326-1471) and, on restart, moves stuck
-``sent`` messages back to ``ready`` (store/store.go:887-941) so delivery
-is at-least-once and restart-safe. It acks a whole store batch at once
-(store/store.go:1180-1324).
+(store/store.go:141-192, 1326-1471), counts acks in process as a store
+batch is acked (store/store.go:77-123, 1180-1324) and, on restart, moves
+stuck ``sent`` messages back to ``ready`` (store/store.go:887-941).
 
 Batch equivalent: the unit of ACK is a *group* — every input file a run
-finds without a manifest, written together by one ``write_parquet``
-under ``out/data/group=<g>/sink=<s>/status=<st>/route=<r>/`` (hive
-values percent-encoded) with :data:`SINK_PARQUET_OPTIONS`: zstd,
-delta-encoded ``uid`` and ``conv_id``, dictionaries only on the
-low-cardinality columns and a plain ``encoded``. Each
-source file keeps its own ``part_id`` (a data column of every output
-row) and its own atomic manifest ``_lineage/part-<id>.json`` (write-tmp
-+ rename) recording input rows, per-"sink/status/route" counts, the
-group and the group's size (``group_size``, its number of files) — the
-ACK/NACK/PermError accounting. A manifest's size does not grow with its
-group. Manifests land only after the whole group is written, so a rerun:
+finds without a manifest, written together by one Parquet write under
+``out/data/group=<g>/sink=<s>/status=<st>/route=<r>/`` (hive values
+percent-encoded) with :data:`SINK_PARQUET_OPTIONS`. Each source file
+keeps its own ``part_id`` (a data column of every output row) and its
+own atomic manifest ``_lineage/part-<id>.json`` (write-tmp + rename)
+recording input rows, per-"sink/status/route" counts, the group and its
+number of files (``group_size``). The counts are those of the blocks
+each successful write task wrote, which the task returns once its files
+are closed; no byte of the output is read back to count it. Manifests
+land only after the whole group is written, so a rerun:
 
 - skips a group that has ``group_size`` manifests (idempotent restart:
   a second run into the same out dir writes nothing);
@@ -45,12 +43,17 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, fields
 from urllib.parse import unquote
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data as rd
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+from ray.data.block import BlockAccessor
 
 
 @dataclass
@@ -102,11 +105,9 @@ def load_manifests(out_dir: str) -> dict[int, PartitionManifest]:
 
 def _list_input_files(input_path: str) -> list[str]:
     from ..gen import transcripts_input
-    # manifests match inputs by PATH IDENTITY across runs, so the
-    # listing must be spelling-independent: a resume invoked with a
-    # relative path, from another cwd or through a symlink would
-    # otherwise miss every done file and re-ingest the whole input as
-    # "new" partitions
+    # manifests match inputs by PATH IDENTITY across runs: a resume
+    # through a relative path, another cwd or a symlink must still find
+    # every done file, or it re-ingests the whole input as new files
     path = os.path.realpath(transcripts_input(input_path))
     if os.path.isfile(path):
         return [path]
@@ -169,7 +170,6 @@ def hive_counts(data_dir: str, keys: tuple[str, ...]) -> dict[tuple, int]:
     """Row counts per hive-partition key tuple from parquet FOOTER
     metadata alone — no data pages are read, so deriving metrics from
     written output costs directory walks + footers, not a second scan."""
-    import pyarrow.parquet as pq
     counts: dict[tuple, int] = {}
     for key, path in _hive_files(data_dir, keys):
         n = pq.ParquetFile(path).metadata.num_rows
@@ -178,26 +178,23 @@ def hive_counts(data_dir: str, keys: tuple[str, ...]) -> dict[tuple, int]:
 
 
 _SINK_KEY = ("sink", "status", "route")
+_COUNT_KEY = ["part_id", *_SINK_KEY]
 
 
-def _group_counts(group_dir: str,
-                  batch_size: int = 1 << 17) -> dict[int, dict[str, int]]:
-    """part_id → {"sink/status/route": rows} under one group dir, from
-    the written ``part_id`` column, one file and ``batch_size`` rows at a
-    time: the driver holds one batch and the count dict, never a table
-    of every written row."""
-    import pyarrow.parquet as pq
-    out: dict[int, dict[str, int]] = {}
-    for key, path in _hive_files(group_dir, _SINK_KEY):
-        key = "/".join(key)
-        for b in pq.ParquetFile(path).iter_batches(
-                batch_size, columns=["part_id"], use_threads=False):
-            vc = pc.value_counts(b.column(0))
-            for pid, n in zip(vc.field("values").to_pylist(),
-                              vc.field("counts").to_pylist()):
-                per = out.setdefault(pid, {})
-                per[key] = per.get(key, 0) + n
-    return out
+class _CountingSink(ParquetDatasink):
+    """Ray's Parquet sink whose write task returns its rows per (part_id,
+    sink, status, route) once its files are written (``write_returns``)."""
+
+    def write(self, blocks, ctx):
+        blocks = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        super().write(blocks, ctx)
+        keys = [t.select(_COUNT_KEY) for t in blocks if t.num_rows]
+        return (pa.concat_tables(keys).group_by(_COUNT_KEY)
+                .aggregate([([], "count_all")]) if keys else None)
+
+    def on_write_complete(self, write_result):
+        super().on_write_complete(write_result)
+        self.write_returns = write_result.write_returns
 
 
 def _drop_unacked(out_dir: str, done: dict[int, PartitionManifest]) -> None:
@@ -232,9 +229,6 @@ def _write_group(out_dir: str, done: dict[int, PartitionManifest],
     ``metrics/sink_counts.json`` over ``done``. With ``keys`` only the
     rows it lists are read, and ``n_in`` counts them. Returns the
     per-(part,sink,status,route) counts."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
     from ..metrics_export import write_sink_counts
     from ..pipelines.flagship import TRANSCRIPT_COLUMNS, _fused
 
@@ -248,12 +242,14 @@ def _write_group(out_dir: str, done: dict[int, PartitionManifest],
                             batch_format="pyarrow")
         # min_rows_per_file guards against tiny-file explosion across the
         # (sink, status, route) partition space (SURVEY.md §7 hard #4)
-        _fused(ds, specs).write_parquet(
-            group_dir, partition_cols=list(_SINK_KEY),
-            min_rows_per_file=10_000, **SINK_PARQUET_OPTIONS)
-        # lineage counts from the written bytes (what actually landed),
-        # not the in-flight stream — the ack is the row's presence
-        counts = _group_counts(group_dir)
+        sink = _CountingSink(group_dir, partition_cols=list(_SINK_KEY),
+                             min_rows_per_file=10_000,
+                             arrow_parquet_args=SINK_PARQUET_OPTIONS)
+        _fused(ds, specs).write_datasink(sink)
+        counts: dict[int, Counter] = defaultdict(Counter)
+        for t in filter(None, sink.write_returns):     # None: no rows
+            for pid, *key, n in zip(*t.to_pydict().values()):
+                counts[pid]["/".join(key)] += n
         if keys is not None:
             vc = pc.value_counts(keys["part_id"]).to_pylist()
             n_in = {r["values"]: r["counts"] for r in vc}
@@ -262,7 +258,7 @@ def _write_group(out_dir: str, done: dict[int, PartitionManifest],
                 part_id=i, input_file=f,
                 n_in=(pq.ParquetFile(f).metadata.num_rows if keys is None
                       else n_in.get(i, 0)),
-                counts=counts.get(i, {}), group=group,
+                counts=dict(counts[i]), group=group,
                 group_size=len(todo))
             _write_manifest(out_dir, done[i])
 
@@ -324,10 +320,9 @@ def retry_rejected(out_dir: str, config=None, hooks=None) -> int:
     rows still rejected, each under its own part_id; one that lost a
     manifest is redone in place. Returns the rows that passed (summed
     over sinks), 0 with no new attempt when none is still rejected."""
-    import pyarrow.parquet as pq
-
     from ..config import default_config
     from ..pipelines.flagship import _specs
+    from .encrypt import refuse_encrypted
 
     retry_dir = os.path.join(out_dir, "retries")
     n = len(os.listdir(retry_dir)) if os.path.isdir(retry_dir) else 0
@@ -355,6 +350,7 @@ def retry_rejected(out_dir: str, config=None, hooks=None) -> int:
         ids = pa.array([i for i, _f in todo if src[i][0] == d], pa.int32())
         for key, path in _hive_files(os.path.join(d, "data"), _SINK_KEY):
             if key[:2] == (sink, "rejected"):
+                refuse_encrypted(path)
                 t = pq.read_table(path, columns=_KEY_COLS)
                 tables.append(t.filter(pc.is_in(t["part_id"], ids)))
     in_schema = pq.read_schema(todo[0][1])

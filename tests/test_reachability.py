@@ -44,8 +44,6 @@ ALLOWED = {
 SEAMS = {
     "connected_components(small_graph_max)":
         "forces the distributed path on a small test graph",
-    "_group_counts(batch_size)":
-        "small batches make the lineage count stream over several",
     "pack_sequences(budget)": "a small budget cuts packs on a small corpus",
     "pack_sequences(n_buckets)":
         "few buckets make packs straddle segment boundaries",

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import pathlib
 import shutil
 
 import pyarrow.parquet as pq
@@ -156,30 +157,93 @@ def test_retry_after_plain_run_redelivers_rejected(tmp_path, ray_session):
     assert retry_rejected(out, hooks=_accept_all()) == 78 * 3
 
 
-def test_group_counts_stream_in_small_batches(small_input, tmp_path,
-                                              ray_session):
-    """The lineage counts read a few rows at a time give the same
-    per-file counts as one scan of every written row."""
+def _run_path(path, small_input, tmp_path, monkeypatch) -> str:
+    """Drive one run path to its end; returns the out dir it acked."""
+    import skewer_ray.state.manifest as M
+    from skewer_ray.pipelines.flagship import run_flagship
+
+    out = str(tmp_path / "out")
+    if path == "flagship":
+        run_flagship(small_input, out)
+    elif path == "retry":
+        run_partitioned(small_input, out)
+        assert retry_rejected(out, hooks=_accept_all()) > 0
+        return os.path.join(out, "retries", "000")
+    elif path == "resume":        # test_crash_mid_group_...'s shape
+        names = sorted(os.listdir(small_input))
+        arrive = _hold_back(small_input, names[1:], tmp_path)
+        run_partitioned(small_input, out)
+        arrive()
+        write_manifest = M._write_manifest
+
+        def dying(out_dir, m):
+            write_manifest(out_dir, m)
+            raise RuntimeError("crash between manifests")
+        monkeypatch.setattr(M, "_write_manifest", dying)
+        with pytest.raises(RuntimeError, match="crash between"):
+            run_partitioned(small_input, out)
+        monkeypatch.setattr(M, "_write_manifest", write_manifest)
+        t = pq.read_table(os.path.join(small_input, names[0]))
+        pq.write_table(t.slice(0, 500),
+                       os.path.join(small_input, "aaa-new-arrival.parquet"))
+        run_partitioned(small_input, out)
+        assert sorted({m.group for m in load_manifests(out).values()}) \
+            == [0, 1]
+    else:
+        run_partitioned(small_input, out)
+    return out
+
+
+@pytest.mark.parametrize("path", ["fresh", "flagship", "resume", "retry"])
+def test_manifest_counts_equal_a_scan_of_the_written_rows(
+        path, small_input, tmp_path, ray_session, monkeypatch):
+    """Each manifest's counts, summed by the write tasks as they write,
+    equal one scan of every written row, and their total per
+    (sink, status, route) equals the footers' row counts. This fails
+    loudly if Ray stops handing the write tasks' returns to
+    ``on_write_complete``."""
     import pyarrow as pa
     import pyarrow.dataset as pds
 
-    from skewer_ray.state.manifest import _group_counts
-    out = str(tmp_path / "out")
-    run_partitioned(small_input, out)
-    group = os.path.join(out, "data", "group=0")
+    from skewer_ray.state.manifest import hive_counts
+
+    out = _run_path(path, small_input, tmp_path, monkeypatch)
+    data = os.path.join(out, "data")
     keys = ["sink", "status", "route"]
-    t = (pds.dataset(group, format="parquet", partitioning=pds.partitioning(
-            pa.schema([(k, pa.string()) for k in keys]), flavor="hive"))
+    t = (pds.dataset(data, format="parquet", partitioning=pds.partitioning(
+            pa.schema([(k, pa.string()) for k in ["group", *keys]]),
+            flavor="hive"))
          .to_table(columns=["part_id", *keys])
          .group_by(["part_id", *keys]).aggregate([([], "count_all")]))
     want: dict = {}
     for r in t.to_pylist():
         want.setdefault(r["part_id"], {})[
             "/".join(r[k] for k in keys)] = r["count_all"]
-    assert sorted(want) == [0, 1, 2]
-    assert _group_counts(group, batch_size=7) == want
-    assert _group_counts(group) == want
-    assert {i: m.counts for i, m in load_manifests(out).items()} == want
+    ms = load_manifests(out)
+    assert want and {i: m.counts for i, m in ms.items()} == want
+    total: dict = {}
+    for m in ms.values():
+        for key, n in m.counts.items():
+            k = tuple(key.split("/", 2))
+            total[k] = total.get(k, 0) + n
+    assert total == hive_counts(data, tuple(keys))
+
+
+def test_run_reads_no_written_file_back(small_input, tmp_path, ray_session,
+                                        monkeypatch):
+    """The ledger comes from the write tasks, not from the output: with
+    the driver's Parquet batch reader broken, a run still acks the same
+    manifests as an unbroken one (Ray's own reads run in its tasks)."""
+    clean = str(tmp_path / "clean")
+    run_partitioned(small_input, clean)
+
+    def broken(*_a, **_k):
+        raise AssertionError("the driver read a written file back")
+    monkeypatch.setattr(pq.ParquetFile, "iter_batches", broken)
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    assert load_manifests(out) == load_manifests(clean)
+    assert _sink_counts(out) == _sink_counts(clean)
 
 
 def test_manifest_size_does_not_grow_with_its_group(small_input, tmp_path,
@@ -1004,3 +1068,39 @@ def test_encrypt_output_roundtrip_and_refusal(
     rep2 = encrypt_output(out, secret)
     assert rep2 == {"encrypted": 0, "skipped": len(files)}
 
+
+def test_encrypted_out_dir_refuses_retry_and_compaction(
+        small_input, tmp_path, ray_session):
+    """Retry and compaction read plain Parquet: on an encrypted out dir
+    both refuse with a ValueError naming a file, before they write
+    anything. A run that adds a file still acks it, since the ledger
+    reads no written file."""
+    from skewer_ray.state.compact import compact_output
+    from skewer_ray.state.encrypt import encrypt_output
+
+    names = sorted(os.listdir(small_input))
+    arrive = _hold_back(small_input, names[-1:], tmp_path)
+    out = str(tmp_path / "out")
+    run_partitioned(small_input, out)
+    encrypt_output(out, b"skewer-master-secret")
+
+    def leaf_bytes():
+        out_files = [os.path.join(r, f) for r, _d, fs in os.walk(out)
+                     for f in fs if f.endswith(".parquet")]
+        return {f: pathlib.Path(f).read_bytes() for f in out_files}
+
+    before = leaf_bytes()
+    with pytest.raises(ValueError, match=r"\.parquet is encrypted"):
+        retry_rejected(out, hooks=_accept_all())
+    with pytest.raises(ValueError, match=r"\.parquet is encrypted"):
+        compact_output(out)
+    assert not os.path.exists(os.path.join(out, "retries"))
+    assert leaf_bytes() == before
+
+    arrive()
+    run_partitioned(small_input, out)
+    ms = load_manifests(out)
+    assert sorted(ms) == [0, 1, 2] and ms[2].group == 1
+    clean = str(tmp_path / "clean")
+    run_partitioned(small_input, clean)
+    assert _sink_counts(out) == _sink_counts(clean)
